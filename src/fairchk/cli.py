@@ -82,14 +82,20 @@ def _parse_threshold(text):
     return value
 
 
+def _parse_size(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"bad size {text.strip()!r}") from None
+    if value < 1:
+        raise UsageError("sizes must be positive")
+    return value
+
+
 def _load_instances(args):
     """Yield (instance_id, model, pairs) for files or generated sweeps."""
     if args.family:
-        sizes = []
-        for item in args.sizes.split(","):
-            item = item.strip()
-            if item:
-                sizes.append(int(item))
+        sizes = [_parse_size(item) for item in args.sizes.split(",") if item.strip()]
         if not sizes or args.seeds < 1:
             raise UsageError("sweeps need at least one size and one seed")
         for n in sizes:
@@ -118,6 +124,8 @@ def _load_instances(args):
         except OSError as exc:
             raise _IoError(str(exc)) from exc
         pairs = parse_pairs(pairs_text, model.n)
+    elif args.command in ("streett-graph", "streett-mdp"):
+        pairs = None  # run_command rejects the missing pairs file
     else:
         pairs = StreettPairs(0, ())
     yield Path(args.model).stem, model, pairs

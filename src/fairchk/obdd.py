@@ -4,20 +4,46 @@ Vertex ids are encoded in ``b = ceil(log2 n)`` bits, most significant bit
 first.  Current-state and next-state variables are interleaved: the bit
 ``i`` of the current vertex sits at BDD level ``2*i`` and the same bit of
 the successor vertex at level ``2*i + 1``.  Vertex sets are BDDs over the
-current-state levels only; the edge relation is a BDD over both rails.
+current-state levels only; the edge relation is a BDD over both rails,
+built in one pass from the sorted edges, each read as one word of the
+interleaved bits.
 
-The engine is a plain unique-table/apply-cache construction (hash-consed
-nodes, memoized binary operations, quantification and level shifting).
+The engine is a plain unique-table/apply-cache construction.  Nodes are
+hash-consed.  Each operation is its own memoized recursion with its own
+terminal cases: conjunction, disjunction, difference, level shifting and
+the relational product.  The commutative operations order their operands
+before the cache lookup.  All memo entries share the one ``_cache`` dict,
+keyed by a single int that packs the operation code and its operands.
+
+The relational product ``and_exists(f, g, parity)`` computes
+``exists rail . f and g`` in one pass, quantifying each level of the rail
+as the recursion leaves it, after the technique of CUDD's
+``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
+of the edge relation with a set is never built.
+
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 __all__ = ["ObddBackend"]
 
 _FALSE = 0
 _TRUE = 1
+
+# Cache keys are ``(a << _ID_BITS | b) << _OP_BITS | op``: unique as long
+# as node ids stay below 2**_ID_BITS, which no in-memory table reaches.
+# Conjunction has op code 0, so its keys leave the op out.
+_ID_BITS = 32
+_OP_BITS = 3
+_OP_OR = 1
+_OP_DIFF = 2
+_OP_SHIFT_UP = 3
+_OP_SHIFT_DOWN = 4
+_OP_AND_EXISTS = 5  # + parity
 
 
 class _Bdd:
@@ -47,60 +73,112 @@ class _Bdd:
 
     # -- binary operations -------------------------------------------------
 
-    def apply(self, op, a, b):
-        # op: 'and' | 'or' | 'diff'
-        if op == "and":
-            if a == _FALSE or b == _FALSE:
-                return _FALSE
-            if a == _TRUE:
-                return b
-            if b == _TRUE:
-                return a
-            if a == b:
-                return a
-        elif op == "or":
-            if a == _TRUE or b == _TRUE:
-                return _TRUE
-            if a == _FALSE:
-                return b
-            if b == _FALSE:
-                return a
-            if a == b:
-                return a
-        else:  # diff
-            if a == _FALSE or b == _TRUE or a == b:
-                return _FALSE
-            if b == _FALSE:
-                return a
-        key = (op, a, b)
+    def and_(self, a, b):
+        if a > b:
+            a, b = b, a
+        if a <= _TRUE:
+            return b if a else _FALSE
+        if a == b:
+            return a
+        key = (a << _ID_BITS | b) << _OP_BITS
         r = self._cache.get(key)
         if r is not None:
             return r
-        la, lb = self.level[a], self.level[b]
-        top = la if la < lb else lb
-        a0, a1 = (self.low[a], self.high[a]) if la == top else (a, a)
-        b0, b1 = (self.low[b], self.high[b]) if lb == top else (b, b)
-        r = self.mk(top, self.apply(op, a0, b0), self.apply(op, a1, b1))
+        level = self.level
+        la, lb = level[a], level[b]
+        if la == lb:
+            r = self.mk(la, self.and_(self.low[a], self.low[b]),
+                        self.and_(self.high[a], self.high[b]))
+        elif la < lb:
+            r = self.mk(la, self.and_(self.low[a], b), self.and_(self.high[a], b))
+        else:
+            r = self.mk(lb, self.and_(a, self.low[b]), self.and_(a, self.high[b]))
         self._cache[key] = r
         return r
 
-    # -- quantification and renaming ---------------------------------------
-
-    def exists(self, a, parity):
-        """Existentially quantify all levels with ``level % 2 == parity``."""
+    def or_(self, a, b):
+        if a > b:
+            a, b = b, a
         if a <= _TRUE:
+            return _TRUE if a else b
+        if a == b:
             return a
-        key = ("ex", parity, a)
+        key = (a << _ID_BITS | b) << _OP_BITS | _OP_OR
         r = self._cache.get(key)
         if r is not None:
             return r
-        lvl = self.level[a]
-        lo = self.exists(self.low[a], parity)
-        hi = self.exists(self.high[a], parity)
-        if lvl % 2 == parity:
-            r = self.apply("or", lo, hi)
+        level = self.level
+        la, lb = level[a], level[b]
+        if la == lb:
+            r = self.mk(la, self.or_(self.low[a], self.low[b]),
+                        self.or_(self.high[a], self.high[b]))
+        elif la < lb:
+            r = self.mk(la, self.or_(self.low[a], b), self.or_(self.high[a], b))
         else:
-            r = self.mk(lvl, lo, hi)
+            r = self.mk(lb, self.or_(a, self.low[b]), self.or_(a, self.high[b]))
+        self._cache[key] = r
+        return r
+
+    def diff(self, a, b):
+        """``a and not b``."""
+        if a == _FALSE or b == _TRUE or a == b:
+            return _FALSE
+        if b == _FALSE:
+            return a
+        key = (a << _ID_BITS | b) << _OP_BITS | _OP_DIFF
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        level = self.level
+        la, lb = level[a], level[b]
+        if la == lb:
+            r = self.mk(la, self.diff(self.low[a], self.low[b]),
+                        self.diff(self.high[a], self.high[b]))
+        elif la < lb:
+            r = self.mk(la, self.diff(self.low[a], b), self.diff(self.high[a], b))
+        else:
+            r = self.mk(lb, self.diff(a, self.low[b]), self.diff(a, self.high[b]))
+        self._cache[key] = r
+        return r
+
+    # -- relational product and renaming -----------------------------------
+
+    def and_exists(self, f, g, parity):
+        """``exists levels (level % 2 == parity) . f and g``, fused.
+
+        Each quantified level is eliminated as soon as the recursion has
+        both cofactors' results, so the conjunction itself is never built;
+        a true low cofactor result skips the high branch.
+        """
+        if f > g:
+            f, g = g, f
+        if f == _FALSE:
+            return _FALSE
+        if g == _TRUE:
+            return _TRUE
+        key = (f << _ID_BITS | g) << _OP_BITS | _OP_AND_EXISTS + parity
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        level = self.level
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            top = lf
+            f0, f1, g0, g1 = self.low[f], self.high[f], self.low[g], self.high[g]
+        elif lf < lg:
+            top = lf
+            f0, f1, g0, g1 = self.low[f], self.high[f], g, g
+        else:
+            top = lg
+            f0, f1, g0, g1 = f, f, self.low[g], self.high[g]
+        r0 = self.and_exists(f0, g0, parity)
+        if top & 1 == parity:
+            if r0 != _TRUE:
+                r = self.or_(r0, self.and_exists(f1, g1, parity))
+            else:
+                r = _TRUE
+        else:
+            r = self.mk(top, r0, self.and_exists(f1, g1, parity))
         self._cache[key] = r
         return r
 
@@ -112,7 +190,7 @@ class _Bdd:
         """
         if a <= _TRUE:
             return a
-        key = ("sh", delta, a)
+        key = a << _OP_BITS | (_OP_SHIFT_UP if delta > 0 else _OP_SHIFT_DOWN)
         r = self._cache.get(key)
         if r is not None:
             return r
@@ -134,31 +212,43 @@ class ObddBackend:
         self.n = n
         self.bits = max(1, (n - 1).bit_length())
         self.dd = _Bdd(2 * self.bits)
-        self._domain = self._set_from_sorted(sorted(range(n)), 0)
-        out = [[] for _ in range(n)]
-        for u, v in edges:
-            out[u].append(v)
-        for succ in out:
-            succ.sort()
-        self._edge_rel = self._build_relation(out, 0, n)
-        self.vr = self._set_from_sorted(sorted(set(random_vertices)), 0)
-        self.v1 = self.dd.apply("diff", self._domain, self.vr)
+        self._domain = self._set_from_sorted(range(n))
+        self._minterms = [self._minterm(u) for u in range(n)]
+        # Edge (u, v) as one word of 2b bits, those of u and v interleaved
+        # MSB first: the bit order of the levels of the relation.
+        spread = [0] * n
+        for u in range(n):
+            for i in range(self.bits):
+                spread[u] |= (u >> i & 1) << 2 * i
+        words = sorted(spread[u] << 1 | spread[v] for u, v in edges)
+        self._edge_rel = self._from_words(words, 0, len(words), 2 * self.bits, 1)
+        self.vr = self._set_from_sorted(sorted(set(random_vertices)))
+        self.v1 = self.dd.diff(self._domain, self.vr)
 
     # -- construction helpers ----------------------------------------------
 
-    def _set_from_sorted(self, ids, bit):
-        """BDD (over current-state levels) of a sorted id list."""
-        if not ids:
+    def _set_from_sorted(self, ids):
+        """BDD (over current-state levels) of a sorted id sequence."""
+        return self._from_words(ids, 0, len(ids), self.bits, 2)
+
+    def _from_words(self, words, lo, hi, width, stride, i=0, prefix=0):
+        """BDD of the sorted `width`-bit words ``words[lo:hi]``.
+
+        Word bit i, counted from the most significant, is BDD level
+        ``stride * i``.  The words in ``words[lo:hi]`` all share their
+        first i bits with `prefix`.
+        """
+        if lo == hi:
             return _FALSE
-        if bit == self.bits:
+        if i == width:
             return _TRUE
-        weight = 1 << (self.bits - 1 - bit)
-        split = 0
-        while split < len(ids) and not ids[split] & weight:
-            split += 1
-        lo = self._set_from_sorted([i for i in ids[:split]], bit + 1)
-        hi = self._set_from_sorted([i & ~weight for i in ids[split:]], bit + 1)
-        return self.dd.mk(2 * bit, lo, hi)
+        weight = 1 << (width - 1 - i)
+        split = bisect_left(words, prefix | weight, lo, hi)
+        return self.dd.mk(
+            stride * i,
+            self._from_words(words, lo, split, width, stride, i + 1, prefix),
+            self._from_words(words, split, hi, width, stride, i + 1, prefix | weight),
+        )
 
     def _minterm(self, u):
         node = _TRUE
@@ -169,18 +259,6 @@ class ObddBackend:
                 node = self.dd.mk(2 * bit, node, _FALSE)
         return node
 
-    def _build_relation(self, out, lo_u, hi_u):
-        """Balanced OR-fold of per-vertex (current-minterm AND successors)."""
-        if hi_u - lo_u == 1:
-            succ = self.dd.shift(self._set_from_sorted(out[lo_u], 0), 1)
-            return self.dd.apply("and", self._minterm(lo_u), succ)
-        mid = (lo_u + hi_u) // 2
-        return self.dd.apply(
-            "or",
-            self._build_relation(out, lo_u, mid),
-            self._build_relation(out, mid, hi_u),
-        )
-
     # -- set-operation interface --------------------------------------------
 
     def empty(self):
@@ -190,7 +268,10 @@ class ObddBackend:
         return self._domain
 
     def from_ids(self, ids):
-        return self._set_from_sorted(sorted(set(ids)), 0)
+        return self._set_from_sorted(sorted(set(ids)))
+
+    def singleton(self, v):
+        return self._minterms[v]
 
     def to_ids(self, h):
         out = []
@@ -212,35 +293,31 @@ class ObddBackend:
             self._collect(node, bit + 1, prefix | weight, out)
 
     def pre(self, z):
-        zy = self.dd.shift(z, 1)
-        conj = self.dd.apply("and", self._edge_rel, zy)
-        return self.dd.exists(conj, 1)
+        dd = self.dd
+        return dd.and_exists(self._edge_rel, dd.shift(z, 1), 1)
 
     def post(self, z):
-        conj = self.dd.apply("and", self._edge_rel, z)
-        img = self.dd.exists(conj, 0)
-        return self.dd.shift(img, -1)
+        dd = self.dd
+        return dd.shift(dd.and_exists(self._edge_rel, z, 0), -1)
 
     def cpre_random(self, z, s):
         dd = self.dd
-        escape = self.pre(dd.apply("diff", s, z))
-        forced = dd.apply("diff", dd.apply("and", s, self.v1), escape)
-        lured = dd.apply(
-            "and", dd.apply("and", s, self.vr), self.pre(dd.apply("and", z, s))
-        )
-        return dd.apply("or", forced, lured)
+        escape = self.pre(dd.diff(s, z))
+        forced = dd.diff(dd.and_(s, self.v1), escape)
+        lured = dd.and_(dd.and_(s, self.vr), self.pre(dd.and_(z, s)))
+        return dd.or_(forced, lured)
 
     def union(self, a, b):
-        return self.dd.apply("or", a, b)
+        return self.dd.or_(a, b)
 
     def intersect(self, a, b):
-        return self.dd.apply("and", a, b)
+        return self.dd.and_(a, b)
 
     def difference(self, a, b):
-        return self.dd.apply("diff", a, b)
+        return self.dd.diff(a, b)
 
     def complement(self, a):
-        return self.dd.apply("diff", self._domain, a)
+        return self.dd.diff(self._domain, a)
 
     def card(self, h):
         return self._count(h, 0)
@@ -257,16 +334,18 @@ class ObddBackend:
         return 2 * self._count(node, bit + 1)
 
     def min_vertex(self, h):
-        # MSB-first ordering makes the greedy 0-preferring walk minimal.
+        # MSB-first ordering makes the greedy 0-preferring walk minimal;
+        # bits of skipped levels stay 0.
+        dd = self.dd
+        low, high = dd.low, dd.high
         node = h
         value = 0
-        for bit in range(self.bits):
-            if node != _FALSE and node != _TRUE and self.dd.level[node] == 2 * bit:
-                if self.dd.low[node] != _FALSE:
-                    node = self.dd.low[node]
-                else:
-                    value |= 1 << (self.bits - 1 - bit)
-                    node = self.dd.high[node]
+        while node > _TRUE:
+            if low[node] != _FALSE:
+                node = low[node]
+            else:
+                value |= 1 << (self.bits - 1 - (dd.level[node] >> 1))
+                node = high[node]
         return value
 
     def is_empty(self, h):

@@ -141,6 +141,9 @@ class _BitsetBackend:
             h |= 1 << v
         return h
 
+    def singleton(self, v):
+        return 1 << v
+
     def to_ids(self, h):
         out = []
         while h:
@@ -265,9 +268,6 @@ class SymbolicManager:
             raise UsageError("vertex set belongs to a different manager")
         return z.h
 
-    def _wrap(self, h) -> VertexSet:
-        return VertexSet(self, h)
-
     @contextmanager
     def counters_paused(self):
         """Suspend counting, e.g. for debug assertions and bookkeeping."""
@@ -283,49 +283,57 @@ class SymbolicManager:
     # -- uncounted constructors and queries ------------------------------
 
     def empty(self) -> VertexSet:
-        return self._wrap(self._b.empty())
+        return VertexSet(self, self._b.empty())
 
     def from_ids(self, ids) -> VertexSet:
         for v in ids:
             if not 0 <= v < self.n:
                 raise UsageError(f"vertex {v} out of range")
-        return self._wrap(self._b.from_ids(ids))
+        return VertexSet(self, self._b.from_ids(ids))
 
     def singleton(self, v: int) -> VertexSet:
-        return self.from_ids([v])
+        if not 0 <= v < self.n:
+            raise UsageError(f"vertex {v} out of range")
+        return VertexSet(self, self._b.singleton(v))
 
     def to_ids(self, z: VertexSet) -> list:
         return self._b.to_ids(self._h(z))
 
     def is_empty(self, z: VertexSet) -> bool:
-        return self._b.is_empty(self._h(z))
+        if z.__class__ is not VertexSet or z.mgr is not self:
+            self._h(z)
+        return self._b.is_empty(z.h)
 
     def contains(self, z: VertexSet, v: int) -> bool:
-        return not self._b.is_empty(
-            self._b.intersect(self._h(z), self._b.from_ids([v]))
-        )
+        h = self._h(z)
+        return not self._b.is_empty(self._b.intersect(h, self.singleton(v).h))
 
     def min_vertex(self, z: VertexSet) -> int:
         """Smallest id in `z`, for deterministic bookkeeping (uncounted)."""
-        if self._b.is_empty(self._h(z)):
+        h = self._h(z)
+        if self._b.is_empty(h):
             raise UsageError("min_vertex of empty set")
-        return self._b.min_vertex(self._h(z))
+        return self._b.min_vertex(h)
 
     # -- counted symbolic operations --------------------------------------
+    #
+    # The hot methods test ownership inline and call `_h` only to raise.
 
     def pre(self, z: VertexSet) -> VertexSet:
         """One-step predecessors: vertices with a successor in `z`."""
-        h = self._h(z)
+        if z.__class__ is not VertexSet or z.mgr is not self:
+            self._h(z)
         if not self._paused:
             self.counters.pre_ops += 1
-        return self._wrap(self._b.pre(h))
+        return VertexSet(self, self._b.pre(z.h))
 
     def post(self, z: VertexSet) -> VertexSet:
         """One-step successors: vertices with a predecessor in `z`."""
-        h = self._h(z)
+        if z.__class__ is not VertexSet or z.mgr is not self:
+            self._h(z)
         if not self._paused:
             self.counters.post_ops += 1
-        return self._wrap(self._b.post(h))
+        return VertexSet(self, self._b.post(z.h))
 
     def cpre_random(self, z: VertexSet, within: VertexSet | None = None) -> VertexSet:
         """Controllable predecessor for the random player.
@@ -339,31 +347,40 @@ class SymbolicManager:
         s = self._b.universe() if within is None else self._h(within)
         if not self._paused:
             self.counters.cpre_ops += 1
-        return self._wrap(self._b.cpre_random(h, s))
+        return VertexSet(self, self._b.cpre_random(h, s))
 
     def union(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        ha, hb = self._h(a), self._h(b)
+        if a.__class__ is not VertexSet or a.mgr is not self:
+            self._h(a)
+        if b.__class__ is not VertexSet or b.mgr is not self:
+            self._h(b)
         if not self._paused:
             self.counters.set_ops += 1
-        return self._wrap(self._b.union(ha, hb))
+        return VertexSet(self, self._b.union(a.h, b.h))
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        ha, hb = self._h(a), self._h(b)
+        if a.__class__ is not VertexSet or a.mgr is not self:
+            self._h(a)
+        if b.__class__ is not VertexSet or b.mgr is not self:
+            self._h(b)
         if not self._paused:
             self.counters.set_ops += 1
-        return self._wrap(self._b.intersect(ha, hb))
+        return VertexSet(self, self._b.intersect(a.h, b.h))
 
     def difference(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        ha, hb = self._h(a), self._h(b)
+        if a.__class__ is not VertexSet or a.mgr is not self:
+            self._h(a)
+        if b.__class__ is not VertexSet or b.mgr is not self:
+            self._h(b)
         if not self._paused:
             self.counters.set_ops += 1
-        return self._wrap(self._b.difference(ha, hb))
+        return VertexSet(self, self._b.difference(a.h, b.h))
 
     def complement(self, a: VertexSet) -> VertexSet:
         ha = self._h(a)
         if not self._paused:
             self.counters.set_ops += 1
-        return self._wrap(self._b.complement(ha))
+        return VertexSet(self, self._b.complement(ha))
 
     def cardinality(self, z: VertexSet) -> int:
         h = self._h(z)
@@ -373,7 +390,9 @@ class SymbolicManager:
 
     def pick(self, z: VertexSet) -> int:
         """An arbitrary vertex of `z`; deterministically the minimum id."""
-        h = self._h(z)
+        if z.__class__ is not VertexSet or z.mgr is not self:
+            self._h(z)
+        h = z.h
         if self._b.is_empty(h):
             raise UsageError("pick from empty set")
         if not self._paused:

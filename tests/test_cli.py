@@ -83,6 +83,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "mec", "--model", "x", "--threshold", "zero")
         assert code == 1
 
+    def test_bad_sizes(self, capsys):
+        for sizes in ("64,abc", "64,0", "-8"):
+            code, _, err = run_cli(
+                capsys, "streett-graph", "--family", "random", "--sizes", sizes,
+            )
+            assert code == 1, sizes
+            assert err.startswith("error:"), sizes
+
+    def test_missing_pairs(self, tmp_path, capsys):
+        for command, text in (("streett-graph", F2_TEXT), ("streett-mdp", F3_TEXT)):
+            model = tmp_path / "model.txt"
+            model.write_text(text)
+            code, out, err = run_cli(capsys, command, "--model", str(model))
+            assert code == 1
+            assert out == ""
+            assert f"error: {command} needs a pairs file" in err
+
 
 class TestSweeps:
     def test_compare_csv_shape(self, tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from fairchk.model import Model
 from fairchk.obdd import ObddBackend
+from fairchk.symbolic import _BitsetBackend
 
 from helpers import random_graph
 
@@ -66,3 +69,34 @@ class TestEdgeOperators:
         a = backend.from_ids([1, 3])
         b = backend.from_ids([1, 3])
         assert a == b  # hash-consing gives canonical node ids
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 100])
+def test_ops_match_bitset_backend(n):
+    """Op by op, the decision diagrams hold the same sets as the bit masks."""
+    rng = random.Random(1000 + n)
+    edges = random_graph(rng, n, rng.randint(n, min(3 * n, n * n)))
+    randoms = frozenset(v for v in range(n) if rng.random() < 0.4)
+    backends = (_BitsetBackend(n, edges, randoms), ObddBackend(n, edges, randoms))
+
+    def random_ids():
+        density = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+        return [v for v in range(n) if rng.random() < density]
+
+    for _ in range(25):
+        a_ids, b_ids, v = random_ids(), random_ids(), rng.randrange(n)
+        results = []
+        for bk in backends:
+            a, b = bk.from_ids(a_ids), bk.from_ids(b_ids)
+            sets = [
+                bk.singleton(v), bk.union(a, b), bk.intersect(a, b),
+                bk.difference(a, b), bk.difference(b, a), bk.complement(a),
+                bk.pre(a), bk.post(a), bk.cpre_random(a, bk.universe()),
+                bk.cpre_random(a, b),
+            ]
+            results.append((
+                [bk.to_ids(h) for h in sets],
+                bk.card(a),
+                bk.min_vertex(a) if a_ids else None,
+            ))
+        assert results[0] == results[1], (n, a_ids, b_ids, v)

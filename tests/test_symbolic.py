@@ -139,6 +139,38 @@ class TestHandleHygiene:
         with pytest.raises(UsageError):
             mgr1.union(mgr1.universe, mgr2.universe)
 
+    def test_every_entry_point_checks_ownership(self, f3, backend):
+        mgr = mgr_for(f3, backend)
+        own = mgr.from_ids([1])
+        # Same model and backend: only the owner differs.
+        foreign = mgr_for(f3, backend).from_ids([1])
+        calls = [
+            mgr.pre, mgr.post, mgr.cpre_random,
+            lambda x: mgr.cpre_random(x, within=own),
+            lambda x: mgr.cpre_random(own, within=x),
+            mgr.complement, mgr.cardinality, mgr.pick, mgr.is_empty,
+            mgr.to_ids, lambda x: mgr.contains(x, 1), mgr.min_vertex,
+        ]
+        for op in (mgr.union, mgr.intersect, mgr.difference):
+            calls.append(lambda x, op=op: op(x, own))
+            calls.append(lambda x, op=op: op(own, x))
+        for call in calls:
+            call(own)  # the owner's handle is accepted
+            before = mgr.snapshot_counters()
+            for bad in (foreign, foreign.h):  # foreign, and not a handle
+                with pytest.raises(UsageError):
+                    call(bad)
+            assert mgr.snapshot_counters() == before  # rejected calls count nothing
+
+    def test_singleton_and_contains_range_checked(self, f1, backend):
+        mgr = mgr_for(f1, backend)
+        assert ids(mgr, mgr.singleton(2)) == [2]
+        for v in (3, -1):
+            with pytest.raises(UsageError):
+                mgr.singleton(v)
+            with pytest.raises(UsageError):
+                mgr.contains(mgr.universe, v)
+
     def test_sink_rejected_at_construction(self):
         with pytest.raises(UsageError):
             SymbolicManager(2, [(0, 1)], frozenset())
