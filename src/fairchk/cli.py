@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -92,12 +93,23 @@ def _parse_size(text):
     return value
 
 
+def _read_text(path):
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_instances(args):
     """Yield (instance_id, model, pairs) for files or generated sweeps."""
     if args.family:
         sizes = [_parse_size(item) for item in args.sizes.split(",") if item.strip()]
         if not sizes or args.seeds < 1:
             raise UsageError("sweeps need at least one size and one seed")
+        if not (math.isfinite(args.edge_factor) and args.edge_factor >= 0):
+            raise UsageError("edge factor must be a non-negative number")
         for n in sizes:
             for seed in range(args.seeds):
                 model, pairs = generate_objects(
@@ -113,17 +125,9 @@ def _load_instances(args):
         return
     if not args.model:
         raise UsageError("either --model or --family is required")
-    try:
-        model_text = Path(args.model).read_text()
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
-    model = parse_model(model_text)
+    model = parse_model(_read_text(args.model))
     if args.pairs:
-        try:
-            pairs_text = Path(args.pairs).read_text()
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
-        pairs = parse_pairs(pairs_text, model.n)
+        pairs = parse_pairs(_read_text(args.pairs), model.n)
     elif args.command in ("streett-graph", "streett-mdp"):
         pairs = None  # run_command rejects the missing pairs file
     else:

@@ -70,6 +70,8 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
                      random_fraction=0.0, seed=0, pair_density=0.2,
                      pair_cap=None) -> tuple:
     """Like :func:`generate` but returning (Model, StreettPairs)."""
+    if k < 0:
+        raise UsageError("the number of pairs must be non-negative")
     rng = random.Random(seed)
     if family in ("random", "mdp-random"):
         if n is None:
@@ -78,6 +80,8 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
             m = min(2 * n, n * n)
         edges = _random_edges(rng, n, m)
         if family == "mdp-random":
+            if not 0 <= random_fraction <= 1:
+                raise UsageError("random fraction must lie in [0, 1]")
             count = math.floor(random_fraction * n)
             randoms = frozenset(rng.sample(range(n), count))
             model = Model("mdp", n, tuple(edges), randoms)
@@ -86,12 +90,14 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
     elif family == "chain-of-cycles":
         if cycle_size is None:
             cycle_size = 2
+        if cycle_size < 1:
+            raise UsageError("cycle-size must be positive")
         if cycles is None:
             if n is None:
                 raise UsageError("family needs cycles or n")
             cycles = max(1, n // cycle_size)
-        if cycles < 1 or cycle_size < 1:
-            raise UsageError("cycles and cycle-size must be positive")
+        if cycles < 1:
+            raise UsageError("cycles must be positive")
         edges = []
         for c in range(cycles):
             base = c * cycle_size

@@ -33,6 +33,7 @@ __all__ = [
     "parse_pairs",
     "serialize_pairs",
     "bad_vertices",
+    "union_all",
     "pair_sets",
 ]
 
@@ -261,3 +262,11 @@ def bad_vertices(mgr, svs, pairs) -> object:
     if acc is None:
         return mgr.empty()
     return mgr.intersect(acc, svs)
+
+
+def union_all(mgr, sets):
+    """Union of `sets`, one counted set operation per member."""
+    acc = mgr.empty()
+    for svs in sets:
+        acc = mgr.union(acc, svs)
+    return acc

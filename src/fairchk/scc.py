@@ -16,11 +16,22 @@ closes.  Under the start-vertex sufficiency invariant the closed set is a
 top or bottom SCC of the induced subgraph, found within a number of steps
 proportional to the number of searches times the size of the smaller side
 of the split.
+
+The skeleton decomposition and the lock-step search are the hot kernels
+of every solve, so their inner loops run on raw backend handles rather
+than through the manager.  Each checks the ownership of its incoming
+handles at entry, counts its operations in local tallies, and charges
+them with ``mgr._charge`` (once per call, or once per lock-step round):
+exactly the counts the same sequence of manager calls would make, and
+nothing while counting is paused.  Results are wrapped as `VertexSet` on
+the way out.  Backend methods are looked up at kernel entry, so patches
+on the backend classes take effect.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError, InvariantViolation
+from .symbolic import VertexSet
 
 __all__ = ["all_sccs", "lock_step_search", "check_start_vertices"]
 
@@ -31,75 +42,93 @@ def all_sccs(mgr, svs, variant="skeleton"):
     Returns vertex sets ordered by ascending minimum vertex id.  The
     default variant takes O(|svs|) symbolic steps.
     """
+    h = mgr._h(svs)
     if variant == "skeleton":
-        parts = _sccs_skeleton(mgr, svs)
+        parts = _sccs_skeleton(mgr, h)
     elif variant == "fwbw":
-        parts = _sccs_fwbw(mgr, svs)
+        parts = [p.h for p in _sccs_fwbw(mgr, svs)]
     else:
         raise UsageError(f"unknown SCC variant {variant!r}")
-    with mgr.counters_paused():
-        parts.sort(key=mgr.min_vertex)
-    return parts
+    parts.sort(key=mgr._b.min_vertex)
+    return [VertexSet(mgr, p) for p in parts]
 
 
 def _sccs_skeleton(mgr, svs):
+    """Raw-handle SCC parts of raw handle `svs`, in discovery order."""
+    b = mgr._b
+    pre, post = b.pre, b.post
+    union, intersect, difference = b.union, b.intersect, b.difference
+    is_empty, min_vertex, singleton = b.is_empty, b.min_vertex, b.singleton
+    n_pre = n_post = n_set = n_pick = 0
     out = []
-    empty = mgr.empty()
+    empty = b.empty()
     work = [(svs, empty, empty)]
     while work:
         vset, spine, node = work.pop()
-        if mgr.is_empty(vset):
+        if is_empty(vset):
             continue
-        if mgr.is_empty(node):
-            node = mgr.singleton(mgr.pick(vset))
+        if is_empty(node):
+            node = singleton(min_vertex(vset))
+            n_pick += 1
 
         # Forward set of the pivot, one layer per step.
         layers = []
         fw = empty
         layer = node
-        while not mgr.is_empty(layer):
+        while not is_empty(layer):
             layers.append(layer)
-            fw = mgr.union(fw, layer)
-            layer = mgr.difference(mgr.intersect(mgr.post(layer), vset), fw)
+            fw = union(fw, layer)
+            layer = difference(intersect(post(layer), vset), fw)
+        depth = len(layers)
+        n_post += depth
+        n_set += 3 * depth
 
         # Spine: a shortest path from the pivot to a deepest vertex.
-        tip = mgr.singleton(mgr.pick(layers[-1]))
+        tip = singleton(min_vertex(layers[-1]))
         new_spine = tip
         hop = tip
         for prev in reversed(layers[:-1]):
-            hop = mgr.singleton(mgr.pick(mgr.intersect(mgr.pre(hop), prev)))
-            new_spine = mgr.union(new_spine, hop)
+            hop = singleton(min_vertex(intersect(pre(hop), prev)))
+            new_spine = union(new_spine, hop)
+        n_pick += depth
+        n_pre += depth - 1
+        n_set += 2 * (depth - 1)
 
         # The pivot's SCC: backward closure inside the forward set.
         comp = node
         front = node
         while True:
-            new = mgr.difference(mgr.intersect(mgr.pre(front), fw), comp)
-            if mgr.is_empty(new):
+            new = difference(intersect(pre(front), fw), comp)
+            n_pre += 1
+            n_set += 2
+            if is_empty(new):
                 break
-            comp = mgr.union(comp, new)
+            comp = union(comp, new)
+            n_set += 1
             front = new
         out.append(comp)
 
         # Outside the forward set the old spine minus the SCC remains a
         # path; its endpoint is the unique predecessor of the removed
         # suffix (the spine is a shortest path, so there is no shortcut).
-        rest = mgr.difference(vset, fw)
-        spine_rest = mgr.difference(spine, comp)
-        if mgr.is_empty(spine_rest):
+        rest = difference(vset, fw)
+        spine_rest = difference(spine, comp)
+        n_set += 5
+        if is_empty(spine_rest):
             node_rest = empty
         else:
-            node_rest = mgr.intersect(
-                mgr.pre(mgr.intersect(comp, spine)), spine_rest
-            )
+            node_rest = intersect(pre(intersect(comp, spine)), spine_rest)
+            n_pre += 1
+            n_set += 2
         work.append((rest, spine_rest, node_rest))
         work.append(
             (
-                mgr.difference(fw, comp),
-                mgr.difference(new_spine, comp),
-                mgr.difference(tip, comp),
+                difference(fw, comp),
+                difference(new_spine, comp),
+                difference(tip, comp),
             )
         )
+    mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=n_pick)
     return out
 
 
@@ -180,72 +209,81 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     `trace`, when given a list, receives one record per round with the
     live search counts and the one-step operation deltas of the round.
     """
-    if mgr.is_empty(lost_in) and mgr.is_empty(lost_out):
+    s = mgr._h(svs)
+    alive = [mgr._h(lost_in), mgr._h(lost_out)]
+    b = mgr._b
+    card, to_ids = b.card, b.to_ids
+    union, intersect, difference = b.union, b.intersect, b.difference
+    is_empty, singleton = b.is_empty, b.singleton
+    if is_empty(alive[0]) and is_empty(alive[1]):
         raise UsageError("lock-step search needs at least one start vertex")
     if debug:
         check_start_vertices(mgr, svs, lost_in, lost_out)
 
     # Separate state per search kind: a vertex may start both a backward
-    # and a forward search.
-    h_acc, h_front = {}, {}
-    for v in mgr.to_ids(lost_in):
-        h_acc[v] = h_front[v] = mgr.singleton(v)
-    t_acc, t_front = {}, {}
-    for v in mgr.to_ids(lost_out):
-        t_acc[v] = t_front[v] = mgr.singleton(v)
-
-    h_alive = lost_in
-    t_alive = lost_out
-
-    def result(comp, pruned_in, pruned_out):
-        if debug:
-            _check_extremal(mgr, svs, comp)
-        return comp, pruned_in, pruned_out
+    # and a forward search.  Index 0 is the backward kind, 1 the forward.
+    kinds = []
+    for step, starts in zip((b.pre, b.post), alive):
+        acc = {v: singleton(v) for v in to_ids(starts)}
+        kinds.append((step, acc, dict(acc)))
 
     while True:
-        before = mgr.snapshot_counters()
-        h_round = mgr.to_ids(h_alive)
-        t_round = mgr.to_ids(t_alive)
+        rounds = [to_ids(a) for a in alive]
         if trace is not None:
-            record = {"live_in": len(h_round), "live_out": len(t_round)}
+            record = {"live_in": len(rounds[0]), "live_out": len(rounds[1])}
             trace.append(record)
 
-        h_pruned = h_alive
-        t_pruned = t_alive
-        returned = None
-        for h in h_round:
-            grow = mgr.intersect(mgr.pre(h_front[h]), svs)
-            new = mgr.difference(grow, h_acc[h])
-            cand = h_acc[h] if mgr.is_empty(new) else mgr.union(h_acc[h], new)
-            if mgr.cardinality(mgr.intersect(cand, h_pruned)) > 1:
-                h_pruned = mgr.difference(h_pruned, mgr.singleton(h))
-            elif mgr.is_empty(new):
-                returned = result(h_acc[h], h_pruned, t_alive)
-                break
-            else:
-                h_acc[h] = cand
-                h_front[h] = new
-        if returned is None:
-            for t in t_round:
-                grow = mgr.intersect(mgr.post(t_front[t]), svs)
-                new = mgr.difference(grow, t_acc[t])
-                cand = t_acc[t] if mgr.is_empty(new) else mgr.union(t_acc[t], new)
-                if mgr.cardinality(mgr.intersect(cand, t_pruned)) > 1:
-                    t_pruned = mgr.difference(t_pruned, mgr.singleton(t))
-                elif mgr.is_empty(new):
-                    returned = result(t_acc[t], h_pruned, t_pruned)
+        # Per search: one step, three set operations (intersect, difference,
+        # the collision intersect) and one cardinality; one set operation
+        # more when the search grows and one when it is pruned.
+        steps = [0, 0]
+        n_extra = 0
+        pruned = list(alive)
+        found = None
+        for k, (step, accs, fronts) in enumerate(kinds):
+            live = pruned[k]
+            n = 0
+            for v in rounds[k]:
+                n += 1
+                acc = accs[v]
+                new = difference(intersect(step(fronts[v]), s), acc)
+                closed = is_empty(new)
+                if closed:
+                    cand = acc
+                else:
+                    cand = union(acc, new)
+                    n_extra += 1
+                if card(intersect(cand, live)) > 1:
+                    live = difference(live, singleton(v))
+                    n_extra += 1
+                elif closed:
+                    found = acc
                     break
                 else:
-                    t_acc[t] = cand
-                    t_front[t] = new
+                    accs[v] = cand
+                    fronts[v] = new
+            pruned[k] = live
+            steps[k] = n
+            if found is not None:
+                break
+        n_pre, n_post = steps
+        mgr._charge(
+            pre=n_pre,
+            post=n_post,
+            set_ops=3 * (n_pre + n_post) + n_extra,
+            cardinality=n_pre + n_post,
+        )
         if trace is not None:
-            delta = mgr.snapshot_counters() - before
-            record["pre_ops"] = delta.pre_ops
-            record["post_ops"] = delta.post_ops
-        if returned is not None:
-            return returned
-        h_alive = h_pruned
-        t_alive = t_pruned
+            # The deltas of the counters, which stand still while paused.
+            paused = mgr._paused
+            record["pre_ops"] = 0 if paused else n_pre
+            record["post_ops"] = 0 if paused else n_post
+        if found is not None:
+            comp = VertexSet(mgr, found)
+            if debug:
+                _check_extremal(mgr, svs, comp)
+            return comp, VertexSet(mgr, pruned[0]), VertexSet(mgr, pruned[1])
+        alive = pruned
 
 
 def _check_extremal(mgr, svs, comp):

@@ -17,7 +17,7 @@ from collections import deque
 
 from . import invariants
 from .errors import UsageError
-from .model import Candidate, bad_vertices, pair_sets
+from .model import Candidate, bad_vertices, pair_sets, union_all
 from .reach import reach_backward
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
@@ -29,13 +29,6 @@ __all__ = ["streett_graph_basic", "streett_graph_improved"]
 def _require_graph(model):
     if model.kind != "graph":
         raise UsageError("this algorithm expects a graph model")
-
-
-def _union_all(mgr, sets):
-    acc = mgr.empty()
-    for svs in sets:
-        acc = mgr.union(acc, svs)
-    return acc
 
 
 def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
@@ -61,7 +54,7 @@ def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
             events["accepted"] += 1
         if debug:
             invariants.check_disjoint(mgr, [c for c in pending] + good)
-    win = reach_backward(mgr, mgr.universe, _union_all(mgr, good))
+    win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
     return RunReport(
         algorithm="streett-graph-basic",
         counters=mgr.snapshot_counters(),
@@ -147,7 +140,7 @@ def streett_graph_improved(mgr, model, pairs, threshold="auto", debug=False) -> 
         if debug:
             invariants.check_disjoint(mgr, [c.vertices for c in pending] + good)
 
-    win = reach_backward(mgr, mgr.universe, _union_all(mgr, good))
+    win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
     return RunReport(
         algorithm="streett-graph-improved",
         counters=mgr.snapshot_counters(),

@@ -19,7 +19,7 @@ from collections import deque
 from . import invariants
 from .errors import InvariantViolation, UsageError
 from .mec import mec_decomposition
-from .model import Candidate, bad_vertices, pair_sets
+from .model import Candidate, bad_vertices, pair_sets, union_all
 from .reach import almost_sure_reach, random_attractor
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
@@ -31,13 +31,6 @@ __all__ = ["streett_mdp_basic", "streett_mdp_improved"]
 def _require_mdp(model):
     if model.kind != "mdp":
         raise UsageError("this algorithm expects an mdp model")
-
-
-def _union_all(mgr, sets):
-    acc = mgr.empty()
-    for svs in sets:
-        acc = mgr.union(acc, svs)
-    return acc
 
 
 def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
@@ -74,7 +67,7 @@ def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
             events["accepted"] += 1
         if debug:
             invariants.check_disjoint(mgr, list(pending) + good)
-    win = almost_sure_reach(mgr, model, _union_all(mgr, good))
+    win = almost_sure_reach(mgr, model, union_all(mgr, good))
     return RunReport(
         algorithm="streett-mdp-basic",
         counters=mgr.snapshot_counters(),
@@ -206,7 +199,7 @@ def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> Ru
                 mgr, [c.vertices for c in pending] + good
             )
 
-    win = almost_sure_reach(mgr, model, _union_all(mgr, good))
+    win = almost_sure_reach(mgr, model, union_all(mgr, good))
     return RunReport(
         algorithm="streett-mdp-improved",
         counters=mgr.snapshot_counters(),

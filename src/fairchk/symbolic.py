@@ -1,11 +1,18 @@
 """Backend-abstract symbolic vertex-set layer with exact operation accounting.
 
-All algorithm modules access the transition structure exclusively through
+Algorithm modules access the transition structure through
 :class:`SymbolicManager`, which supports the classic one-step operators
 (predecessor, successor, controllable predecessor for random players),
 set algebra, cardinality and vertex picking.  Every call increments a
 counter in :class:`StepCounters`; the counters are the cost model in which
 all step bounds of the algorithms are stated and measured.
+
+The SCC kernels of :mod:`fairchk.scc` run their inner loops on the raw
+backend handles instead, to skip the per-operation handle allocation and
+ownership check.  They check the ownership of every incoming handle at
+entry, tally their operations locally, and charge, through
+:meth:`SymbolicManager._charge`, exactly what the same sequence of
+manager calls would have counted.
 
 Two interchangeable backends implement the same semantics:
 
@@ -276,6 +283,20 @@ class SymbolicManager:
             yield
         finally:
             self._paused -= 1
+
+    def _charge(self, pre=0, post=0, set_ops=0, cardinality=0, pick=0):
+        """Count operations a kernel ran on raw backend handles.
+
+        Charges nothing while counting is paused, like the manager's own
+        counted methods.
+        """
+        if not self._paused:
+            c = self.counters
+            c.pre_ops += pre
+            c.post_ops += post
+            c.set_ops += set_ops
+            c.cardinality_ops += cardinality
+            c.pick_ops += pick
 
     def snapshot_counters(self) -> StepCounters:
         return self.counters.copy()

@@ -9,12 +9,18 @@ from .errors import UsageError
 __all__ = ["streett_threshold", "mec_threshold"]
 
 
-def _parse(value):
+def _resolve(value, n, auto):
+    """A positive integer as is, else the named rule; `auto` is the
+    caller's unrounded ``auto`` value."""
     if isinstance(value, int):
         if value < 1:
             raise UsageError("threshold must be a positive integer")
         return value
-    return None
+    if value == "auto":
+        return max(1, math.ceil(auto))
+    if value == "practical":
+        return max(1, math.ceil(2 * math.log2(max(n, 2))))
+    raise UsageError(f"bad threshold {value!r}")
 
 
 def streett_threshold(value, n: int, m: int) -> int:
@@ -25,24 +31,10 @@ def streett_threshold(value, n: int, m: int) -> int:
     favors the lock-step path on instances with few pairs.  Logarithms
     are binary and `n` is clamped to at least 2.
     """
-    fixed = _parse(value)
-    if fixed is not None:
-        return fixed
-    log_n = math.log2(max(n, 2))
-    if value == "auto":
-        return max(1, math.ceil(math.sqrt(m / log_n)))
-    if value == "practical":
-        return max(1, math.ceil(2 * log_n))
-    raise UsageError(f"bad threshold {value!r}")
+    return _resolve(value, n, math.sqrt(m / math.log2(max(n, 2))))
 
 
 def mec_threshold(value, n: int, m: int) -> int:
-    """Threshold for end-component decomposition: ``auto`` is ``ceil(sqrt(m))``."""
-    fixed = _parse(value)
-    if fixed is not None:
-        return fixed
-    if value == "auto":
-        return max(1, math.ceil(math.sqrt(m)))
-    if value == "practical":
-        return max(1, math.ceil(2 * math.log2(max(n, 2))))
-    raise UsageError(f"bad threshold {value!r}")
+    """Threshold for end-component decomposition: ``auto`` is ``ceil(sqrt(m))``
+    and ``practical`` is as for :func:`streett_threshold`."""
+    return _resolve(value, n, math.sqrt(m))

@@ -70,7 +70,7 @@ def scc_instance(seed, n_max=64):
     return Model("graph", n, tuple(edges), frozenset()).validate()
 
 
-def lockstep_instance(seed):
+def lockstep_instance(seed, n_max=24):
     """A candidate with the start-vertex invariant established by construction.
 
     Returns (model, subgraph ids, lost-in ids, lost-out ids): one witness
@@ -78,7 +78,7 @@ def lockstep_instance(seed):
     set, plus occasional extra witnesses anywhere in the subgraph.
     """
     rng = random.Random(seed)
-    n = rng.randint(2, 24)
+    n = rng.randint(2, n_max)
     m = rng.randint(n, min(3 * n, n * n))
     model = Model("graph", n, tuple(random_graph(rng, n, m)), frozenset()).validate()
     svs = sorted(rng.sample(range(n), rng.randint(1, n)))
@@ -110,6 +110,129 @@ def top_bottom_sccs(model, svs):
         if not any(w in inside and w not in members for v in comp for w in adj[v]):
             bottoms.append(comp)
     return tops, bottoms
+
+
+# -- handle-level reference kernels ----------------------------------------
+#
+# The SCC kernels in fairchk.scc run on raw backend handles and charge their
+# operation tallies in bulk.  These copies make the same calls one by one
+# through the counted manager methods, so they define the sets, counters and
+# lock-step trace records the kernels must reproduce.
+
+
+def reference_all_sccs(mgr, svs):
+    """Skeleton SCC decomposition through manager calls, sorted by min id."""
+    out = []
+    empty = mgr.empty()
+    work = [(svs, empty, empty)]
+    while work:
+        vset, spine, node = work.pop()
+        if mgr.is_empty(vset):
+            continue
+        if mgr.is_empty(node):
+            node = mgr.singleton(mgr.pick(vset))
+
+        layers = []
+        fw = empty
+        layer = node
+        while not mgr.is_empty(layer):
+            layers.append(layer)
+            fw = mgr.union(fw, layer)
+            layer = mgr.difference(mgr.intersect(mgr.post(layer), vset), fw)
+
+        tip = mgr.singleton(mgr.pick(layers[-1]))
+        new_spine = tip
+        hop = tip
+        for prev in reversed(layers[:-1]):
+            hop = mgr.singleton(mgr.pick(mgr.intersect(mgr.pre(hop), prev)))
+            new_spine = mgr.union(new_spine, hop)
+
+        comp = node
+        front = node
+        while True:
+            new = mgr.difference(mgr.intersect(mgr.pre(front), fw), comp)
+            if mgr.is_empty(new):
+                break
+            comp = mgr.union(comp, new)
+            front = new
+        out.append(comp)
+
+        rest = mgr.difference(vset, fw)
+        spine_rest = mgr.difference(spine, comp)
+        if mgr.is_empty(spine_rest):
+            node_rest = empty
+        else:
+            node_rest = mgr.intersect(
+                mgr.pre(mgr.intersect(comp, spine)), spine_rest
+            )
+        work.append((rest, spine_rest, node_rest))
+        work.append(
+            (
+                mgr.difference(fw, comp),
+                mgr.difference(new_spine, comp),
+                mgr.difference(tip, comp),
+            )
+        )
+    with mgr.counters_paused():
+        out.sort(key=mgr.min_vertex)
+    return out
+
+
+def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
+    """Lock-step search through manager calls; returns (comp, in, out)."""
+    h_acc, h_front = {}, {}
+    for v in mgr.to_ids(lost_in):
+        h_acc[v] = h_front[v] = mgr.singleton(v)
+    t_acc, t_front = {}, {}
+    for v in mgr.to_ids(lost_out):
+        t_acc[v] = t_front[v] = mgr.singleton(v)
+
+    h_alive = lost_in
+    t_alive = lost_out
+    while True:
+        before = mgr.snapshot_counters()
+        h_round = mgr.to_ids(h_alive)
+        t_round = mgr.to_ids(t_alive)
+        if trace is not None:
+            record = {"live_in": len(h_round), "live_out": len(t_round)}
+            trace.append(record)
+
+        h_pruned = h_alive
+        t_pruned = t_alive
+        returned = None
+        for h in h_round:
+            grow = mgr.intersect(mgr.pre(h_front[h]), svs)
+            new = mgr.difference(grow, h_acc[h])
+            cand = h_acc[h] if mgr.is_empty(new) else mgr.union(h_acc[h], new)
+            if mgr.cardinality(mgr.intersect(cand, h_pruned)) > 1:
+                h_pruned = mgr.difference(h_pruned, mgr.singleton(h))
+            elif mgr.is_empty(new):
+                returned = (h_acc[h], h_pruned, t_alive)
+                break
+            else:
+                h_acc[h] = cand
+                h_front[h] = new
+        if returned is None:
+            for t in t_round:
+                grow = mgr.intersect(mgr.post(t_front[t]), svs)
+                new = mgr.difference(grow, t_acc[t])
+                cand = t_acc[t] if mgr.is_empty(new) else mgr.union(t_acc[t], new)
+                if mgr.cardinality(mgr.intersect(cand, t_pruned)) > 1:
+                    t_pruned = mgr.difference(t_pruned, mgr.singleton(t))
+                elif mgr.is_empty(new):
+                    returned = (t_acc[t], h_pruned, t_pruned)
+                    break
+                else:
+                    t_acc[t] = cand
+                    t_front[t] = new
+        if trace is not None:
+            delta = mgr.snapshot_counters() - before
+            record["pre_ops"] = delta.pre_ops
+            record["post_ops"] = delta.post_ops
+        if returned is not None:
+            return returned
+        h_alive = h_pruned
+        t_alive = t_pruned
 
 
 # -- definition-level brute force (tiny n only) ---------------------------

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from fairchk.cli import main
 
 from conftest import F2_TEXT, F3_TEXT
@@ -90,6 +92,37 @@ class TestExitCodes:
             )
             assert code == 1, sizes
             assert err.startswith("error:"), sizes
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("streett-graph", "--family", "chain-of-cycles", "--cycle-size", "0"),
+            ("streett-mdp", "--family", "mdp-random", "--sizes", "16",
+             "--random-fraction", "2"),
+            ("streett-graph", "--family", "random", "--edge-factor", "nan"),
+            ("streett-graph", "--family", "random", "--k", "-1"),
+        ],
+        ids=["cycle-size", "random-fraction", "edge-factor", "k"],
+    )
+    def test_bad_sweep_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        good = tmp_path / "f2.txt"
+        good.write_text(F2_TEXT)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        for files in ((bad, good), (good, bad)):
+            code, out, err = run_cli(
+                capsys, "streett-graph", "--model", str(files[0]),
+                "--pairs", str(files[1]),
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "not UTF-8" in err
 
     def test_missing_pairs(self, tmp_path, capsys):
         for command, text in (("streett-graph", F2_TEXT), ("streett-mdp", F3_TEXT)):

@@ -1,14 +1,23 @@
 """SCC decomposition and lock-step search."""
 
+import contextlib
 import random
 
 import pytest
 
-from fairchk import UsageError, all_sccs, lock_step_search
+from fairchk import StepCounters, UsageError, all_sccs, lock_step_search
 from fairchk.oracle import tarjan_scc
 
 from conftest import mgr_for
-from helpers import lockstep_instance, scc_instance, top_bottom_sccs
+from helpers import (
+    lockstep_instance,
+    reference_all_sccs,
+    reference_lock_step_search,
+    scc_instance,
+    top_bottom_sccs,
+)
+
+REFERENCE_SEEDS = 200
 
 
 class TestAllSccs:
@@ -189,3 +198,61 @@ class TestLockStep:
                 debug=True,
             )
             assert not mgr.is_empty(comp)
+
+
+def _kernel_inputs(seed):
+    """A lock-step instance on up to 64 vertices; every third seed starts
+    both search kinds from the same vertices."""
+    model, svs_ids, in_ids, out_ids = lockstep_instance(seed, n_max=64)
+    if seed % 3 == 0:
+        in_ids = out_ids = sorted(set(in_ids) | set(out_ids))
+    return model, svs_ids, in_ids, out_ids
+
+
+def _run_kernels(model, backend, sccs, search, inputs, paused=False):
+    """Sets, counters and lock-step trace of one run of both kernels."""
+    mgr = mgr_for(model, backend)
+    svs, lost_in, lost_out = (mgr.from_ids(ids) for ids in inputs)
+    trace = []
+    with mgr.counters_paused() if paused else contextlib.nullcontext():
+        parts = sccs(mgr, svs)
+        found = search(mgr, svs, lost_in, lost_out, trace=trace)
+    sets = [mgr.to_ids(x) for x in parts] + [mgr.to_ids(x) for x in found]
+    return sets, mgr.snapshot_counters(), trace
+
+
+class TestMatchesHandleLevelReference:
+    """The raw-handle kernels return, charge and trace exactly what the
+    same sequence of counted manager calls does."""
+
+    def test_sets_counters_and_trace(self, backend):
+        for seed in range(REFERENCE_SEEDS):
+            model, *inputs = _kernel_inputs(seed)
+            got = _run_kernels(model, backend, all_sccs, lock_step_search, inputs)
+            want = _run_kernels(
+                model, backend, reference_all_sccs, reference_lock_step_search, inputs
+            )
+            assert got == want, seed
+
+    def test_whole_graph_decomposition(self, backend):
+        for seed in range(REFERENCE_SEEDS):
+            model = scc_instance(seed, n_max=64)
+            runs = []
+            for sccs in (all_sccs, reference_all_sccs):
+                mgr = mgr_for(model, backend)
+                parts = sccs(mgr, mgr.universe)
+                runs.append(([mgr.to_ids(p) for p in parts], mgr.snapshot_counters()))
+            assert runs[0] == runs[1], seed
+
+    def test_paused_kernels_charge_nothing(self, backend):
+        for seed in range(REFERENCE_SEEDS // 4):
+            model, *inputs = _kernel_inputs(seed)
+            got = _run_kernels(
+                model, backend, all_sccs, lock_step_search, inputs, paused=True
+            )
+            want = _run_kernels(
+                model, backend, reference_all_sccs, reference_lock_step_search,
+                inputs, paused=True,
+            )
+            assert got[1] == StepCounters(), seed
+            assert got == want, seed

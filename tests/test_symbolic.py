@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchk import SymbolicManager, UsageError
+from fairchk import SymbolicManager, UsageError, all_sccs, lock_step_search
 from fairchk.model import Model
 
 from conftest import mgr_for
@@ -154,6 +154,14 @@ class TestHandleHygiene:
         for op in (mgr.union, mgr.intersect, mgr.difference):
             calls.append(lambda x, op=op: op(x, own))
             calls.append(lambda x, op=op: op(own, x))
+        # The SCC kernels run on raw handles but check theirs at entry.
+        calls += [
+            lambda x: all_sccs(mgr, x),
+            lambda x: all_sccs(mgr, x, variant="fwbw"),
+            lambda x: lock_step_search(mgr, x, own, own),
+            lambda x: lock_step_search(mgr, own, x, own),
+            lambda x: lock_step_search(mgr, own, own, x),
+        ]
         for call in calls:
             call(own)  # the owner's handle is accepted
             before = mgr.snapshot_counters()
