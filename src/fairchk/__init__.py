@@ -14,7 +14,7 @@ brute-force oracles for cross-validation.
 """
 
 from .errors import FairchkError, InvariantViolation, ModelError, UsageError
-from .generate import generate, generate_objects
+from .generate import generate_objects
 from .mec import mec_basic, mec_decomposition, mec_improved
 from .model import (
     Candidate,
@@ -68,7 +68,6 @@ __all__ = [
     "streett_mdp_improved",
     "streett_threshold",
     "mec_threshold",
-    "generate",
     "generate_objects",
     "run_command",
     "oracle_matches",

@@ -23,14 +23,16 @@ import math
 import random
 
 from .errors import UsageError
-from .model import Model, StreettPairs, serialize_model, serialize_pairs
+from .model import Model, StreettPairs
 
-__all__ = ["generate", "generate_objects", "FAMILIES"]
+__all__ = ["generate_objects", "random_edges", "FAMILIES"]
 
 FAMILIES = ("random", "mdp-random", "chain-of-cycles", "grid")
 
 
-def _random_edges(rng, n, m):
+def random_edges(rng, n, m):
+    """`m` distinct edges on `n` vertices drawn with `rng`, the first `n`
+    of them one per source vertex so that no vertex is a sink."""
     if m < n:
         raise UsageError(f"need at least n={n} edges to avoid sinks, got m={m}")
     if m > n * n:
@@ -69,7 +71,7 @@ def _sample_pairs(rng, n, k, density, cap):
 def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
                      random_fraction=0.0, seed=0, pair_density=0.2,
                      pair_cap=None) -> tuple:
-    """Like :func:`generate` but returning (Model, StreettPairs)."""
+    """A (Model, StreettPairs) instance of `family` for the given seed."""
     if k < 0:
         raise UsageError("the number of pairs must be non-negative")
     rng = random.Random(seed)
@@ -78,7 +80,7 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
             raise UsageError("family needs n")
         if m is None:
             m = min(2 * n, n * n)
-        edges = _random_edges(rng, n, m)
+        edges = random_edges(rng, n, m)
         if family == "mdp-random":
             if not 0 <= random_fraction <= 1:
                 raise UsageError("random fraction must lie in [0, 1]")
@@ -127,9 +129,3 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
         pair_cap = max(1, math.ceil(model.n / 5))
     pairs = _sample_pairs(rng, model.n, k, pair_density, pair_cap)
     return model, pairs
-
-
-def generate(family, **params) -> tuple:
-    """Generate a (model text, pairs text) pair for the given family."""
-    model, pairs = generate_objects(family, **params)
-    return serialize_model(model), serialize_pairs(pairs)

@@ -11,14 +11,13 @@ from __future__ import annotations
 from . import oracle
 from .errors import InvariantViolation
 from .model import bad_vertices
+from .reach import random_escapes
 
 __all__ = [
     "check_candidate",
     "check_disjoint",
     "check_no_random_escape",
-    "check_good_component",
-    "check_accepted_mec",
-    "check_good_end_component",
+    "check_end_component",
     "check_start_cover",
 ]
 
@@ -43,46 +42,31 @@ def check_disjoint(mgr, sets):
 def check_no_random_escape(mgr, svs):
     """No random vertex of `svs` may have an edge leaving `svs`."""
     with mgr.counters_paused():
-        escapes = mgr.intersect(
-            mgr.intersect(svs, mgr.v_random), mgr.pre(mgr.complement(svs))
-        )
+        escapes = random_escapes(mgr, svs, mgr.universe)
         if not mgr.is_empty(escapes):
             raise InvariantViolation(
                 f"random vertices with outgoing edges: {mgr.to_ids(escapes)}"
             )
 
 
-def _check_connected_with_edge(mgr, model, svs, what):
+def check_end_component(mgr, model, svs, psets=()):
+    """Accepted end-component: nonempty, strongly connected, has an edge,
+    closed for random vertices and free of bad vertices for `psets`.
+
+    On graphs, which have no random vertices, this is a good component.
+    """
     with mgr.counters_paused():
         ids = mgr.to_ids(svs)
         if not ids:
-            raise InvariantViolation(f"accepted {what} is empty")
+            raise InvariantViolation("accepted component is empty")
         if len(oracle.tarjan_scc(model, ids)) != 1:
-            raise InvariantViolation(f"accepted {what} is not strongly connected")
+            raise InvariantViolation("accepted component is not strongly connected")
         member = set(ids)
         if not any(u in member and v in member for u, v in model.edges):
-            raise InvariantViolation(f"accepted {what} has no edge")
-
-
-def check_good_component(mgr, model, svs, psets):
-    """Accepted good component: strongly connected, has an edge, no bad vertices."""
-    _check_connected_with_edge(mgr, model, svs, "good component")
-    with mgr.counters_paused():
+            raise InvariantViolation("accepted component has no edge")
         if not mgr.is_empty(bad_vertices(mgr, svs, psets)):
-            raise InvariantViolation("accepted good component has bad vertices")
-
-
-def check_accepted_mec(mgr, model, svs):
-    """Accepted end-component: strongly connected, has an edge, closed for random."""
-    _check_connected_with_edge(mgr, model, svs, "end-component")
+            raise InvariantViolation("accepted component has bad vertices")
     check_no_random_escape(mgr, svs)
-
-
-def check_good_end_component(mgr, model, svs, psets):
-    check_accepted_mec(mgr, model, svs)
-    with mgr.counters_paused():
-        if not mgr.is_empty(bad_vertices(mgr, svs, psets)):
-            raise InvariantViolation("accepted good end-component has bad vertices")
 
 
 def check_start_cover(mgr, model, svs, lost_in, lost_out):
@@ -90,8 +74,8 @@ def check_start_cover(mgr, model, svs, lost_in, lost_out):
 
     Nonempty lost-in sets must hit every top SCC of the induced subgraph,
     nonempty lost-out sets every bottom SCC; with both empty the subgraph
-    must be strongly connected.  Same contract as the symbolic check run
-    inside the lock-step search, but validated independently.
+    must be strongly connected.  This is the contract under which the
+    lock-step search returns a top or bottom SCC.
     """
     with mgr.counters_paused():
         svs_ids = mgr.to_ids(svs)

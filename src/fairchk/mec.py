@@ -17,7 +17,7 @@ from collections import deque
 
 from . import invariants
 from .model import Candidate
-from .reach import random_attractor
+from .reach import random_attractor, random_escapes
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import mec_threshold
@@ -51,19 +51,14 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
 
     def accept(svs):
         if debug:
-            invariants.check_accepted_mec(mgr, model, svs)
+            invariants.check_end_component(mgr, model, svs)
         accepted.append(svs)
-
-    def random_escapes(svs):
-        return mgr.intersect(
-            mgr.intersect(svs, mgr.v_random), mgr.pre(mgr.complement(svs))
-        )
 
     if not improved:
         pending = deque(initial)
         while pending:
             svs = pending.popleft()
-            escapes = random_escapes(svs)
+            escapes = random_escapes(mgr, svs, mgr.universe)
             if not mgr.is_empty(escapes):
                 events["rescc"] += 1
                 attr = random_attractor(mgr, svs, escapes, debug=debug)
@@ -82,7 +77,7 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
             if debug:
                 invariants.check_candidate(mgr, cand)
             svs, lost_out = cand.vertices, cand.lost_out
-            escapes = random_escapes(svs)
+            escapes = random_escapes(mgr, svs, mgr.universe)
             if not mgr.is_empty(escapes):
                 attr = random_attractor(mgr, svs, escapes, debug=debug)
                 svs = mgr.difference(svs, attr)

@@ -35,7 +35,17 @@ __all__ = [
     "bad_vertices",
     "union_all",
     "pair_sets",
+    "first_sink",
 ]
+
+
+def first_sink(n, edges):
+    """The smallest vertex of ``range(n)`` that is no edge's source, or None.
+
+    Looks only at the edge sources, so its memory does not grow with `n`.
+    """
+    sources = {u for u, _ in edges}
+    return next((v for v in range(n) if v not in sources), None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,17 +73,15 @@ class Model:
         if self.kind == "graph" and self.random_vertices:
             raise ModelError("graph models cannot have random vertices")
         seen = set()
-        outdeg = [0] * self.n
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ModelError(f"edge ({u}, {v}) out of range")
             if (u, v) in seen:
                 raise ModelError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            outdeg[u] += 1
-        for v in range(self.n):
-            if outdeg[v] == 0:
-                raise ModelError(f"vertex {v} has no outgoing edge")
+        sink = first_sink(self.n, self.edges)
+        if sink is not None:
+            raise ModelError(f"vertex {sink} has no outgoing edge")
         for v in self.random_vertices:
             if not 0 <= v < self.n:
                 raise ModelError(f"random vertex {v} out of range")

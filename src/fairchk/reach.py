@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import InvariantViolation
 
-__all__ = ["reach_backward", "random_attractor", "almost_sure_reach"]
+__all__ = ["reach_backward", "random_attractor", "random_escapes", "almost_sure_reach"]
 
 
 def reach_backward(mgr, svs, targets):
@@ -52,16 +52,22 @@ def random_attractor(mgr, svs, targets, debug=False):
 
 def _check_random_escapes_covered(mgr, svs, targets):
     with mgr.counters_paused():
-        outside = mgr.complement(svs)
-        escaping = mgr.intersect(
-            mgr.intersect(svs, mgr.v_random), mgr.pre(outside)
-        )
-        stray = mgr.difference(escaping, targets)
+        stray = mgr.difference(random_escapes(mgr, svs, mgr.universe), targets)
         if not mgr.is_empty(stray):
             raise InvariantViolation(
                 "random vertices with edges leaving the attractor universe "
                 f"are not part of the target set: {mgr.to_ids(stray)}"
             )
+
+
+def random_escapes(mgr, part, whole):
+    """Random vertices of `part` with an edge into ``whole ∖ part``.
+
+    Uses one predecessor operation and three set operations.
+    """
+    return mgr.intersect(
+        mgr.intersect(part, mgr.v_random), mgr.pre(mgr.difference(whole, part))
+    )
 
 
 def almost_sure_reach(mgr, model, targets):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from .errors import UsageError, InvariantViolation
 from .symbolic import VertexSet
 
-__all__ = ["all_sccs", "lock_step_search", "check_start_vertices"]
+__all__ = ["all_sccs", "lock_step_search"]
 
 
 def all_sccs(mgr, svs, variant="skeleton"):
@@ -164,38 +164,6 @@ def _sccs_fwbw(mgr, svs):
     return out
 
 
-def check_start_vertices(mgr, svs, lost_in, lost_out):
-    """Debug assertion of the start-vertex sufficiency invariant.
-
-    Each side is checked independently: when `lost_in` is nonempty it must
-    contain a vertex of every top SCC of the induced subgraph, and when
-    `lost_out` is nonempty a vertex of every bottom SCC.  When both are
-    empty the subgraph must be strongly connected.
-    """
-    with mgr.counters_paused():
-        parts = all_sccs(mgr, svs)
-        if mgr.is_empty(lost_in) and mgr.is_empty(lost_out):
-            if len(parts) != 1:
-                raise InvariantViolation(
-                    "empty start sets but the subgraph is not strongly connected"
-                )
-            return
-        check_in = not mgr.is_empty(lost_in)
-        check_out = not mgr.is_empty(lost_out)
-        for comp in parts:
-            others = mgr.difference(svs, comp)
-            if check_in and mgr.is_empty(mgr.intersect(mgr.pre(comp), others)):
-                if mgr.is_empty(mgr.intersect(comp, lost_in)):
-                    raise InvariantViolation(
-                        f"top SCC {mgr.to_ids(comp)} has no lost-incoming witness"
-                    )
-            if check_out and mgr.is_empty(mgr.intersect(mgr.post(comp), others)):
-                if mgr.is_empty(mgr.intersect(comp, lost_out)):
-                    raise InvariantViolation(
-                        f"bottom SCC {mgr.to_ids(comp)} has no lost-outgoing witness"
-                    )
-
-
 def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     """Find a top or bottom SCC of the subgraph on `svs` by lock-step search.
 
@@ -206,8 +174,11 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     with that vertex or cannot be extremal).  The first search that
     stops growing returns its set, together with the pruned start sets.
 
-    `trace`, when given a list, receives one record per round with the
-    live search counts and the one-step operation deltas of the round.
+    The caller establishes the start-vertex sufficiency invariant (see
+    :func:`fairchk.invariants.check_start_cover`); with `debug` the
+    result is checked to be a top or bottom SCC.  `trace`, when given a
+    list, receives one record per round with the live search counts and
+    the one-step operation deltas of the round.
     """
     s = mgr._h(svs)
     alive = [mgr._h(lost_in), mgr._h(lost_out)]
@@ -217,8 +188,6 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     is_empty, singleton = b.is_empty, b.singleton
     if is_empty(alive[0]) and is_empty(alive[1]):
         raise UsageError("lock-step search needs at least one start vertex")
-    if debug:
-        check_start_vertices(mgr, svs, lost_in, lost_out)
 
     # Separate state per search kind: a vertex may start both a backward
     # and a forward search.  Index 0 is the backward kind, 1 the forward.

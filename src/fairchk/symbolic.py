@@ -32,6 +32,7 @@ import dataclasses
 from contextlib import contextmanager
 
 from .errors import UsageError
+from .model import first_sink
 
 __all__ = ["StepCounters", "VertexSet", "SymbolicManager"]
 
@@ -55,16 +56,6 @@ class StepCounters:
     @property
     def headline(self) -> int:
         return self.pre_ops + self.post_ops
-
-    @property
-    def headline_with_cpre(self) -> int:
-        """Headline count with each controllable predecessor expanded.
-
-        One such step costs two predecessor operations plus two set
-        operations when expressed through the plain operators; only the
-        predecessor part is added here.
-        """
-        return self.pre_ops + self.post_ops + 2 * self.cpre_ops
 
     def copy(self) -> "StepCounters":
         return dataclasses.replace(self)
@@ -235,14 +226,12 @@ class SymbolicManager:
     def __init__(self, n, edges, random_vertices, backend="bitset"):
         if n <= 0:
             raise UsageError("vertex count must be positive")
-        outdeg = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UsageError(f"edge ({u}, {v}) out of range for n={n}")
-            outdeg[u] += 1
-        sinks = [v for v in range(n) if outdeg[v] == 0]
-        if sinks:
-            raise UsageError(f"vertex {sinks[0]} has no outgoing edge")
+        sink = first_sink(n, edges)
+        if sink is not None:
+            raise UsageError(f"vertex {sink} has no outgoing edge")
         for v in random_vertices:
             if not 0 <= v < n:
                 raise UsageError(f"random vertex {v} out of range")

@@ -12,23 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from fairchk.generate import random_edges as random_graph
 from fairchk.model import Model, StreettPairs
 from fairchk.oracle import tarjan_scc
-
-
-def random_graph(rng, n, m):
-    edges = []
-    seen = set()
-    for u in range(n):
-        v = rng.randrange(n)
-        edges.append((u, v))
-        seen.add((u, v))
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if (u, v) not in seen:
-            seen.add((u, v))
-            edges.append((u, v))
-    return edges
 
 
 def random_pairs(rng, n, k, density=0.25):

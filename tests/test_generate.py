@@ -2,23 +2,23 @@
 
 import pytest
 
-from fairchk import UsageError, generate, generate_objects, parse_model, parse_pairs
+from fairchk import UsageError, generate_objects, parse_model, serialize_model
 
 from conftest import F2_TEXT
 
 
 class TestFamilies:
     def test_random_graph_valid_and_deterministic(self):
-        text_a, pairs_a = generate("random", n=16, m=40, k=2, seed=7)
-        text_b, pairs_b = generate("random", n=16, m=40, k=2, seed=7)
-        assert (text_a, pairs_a) == (text_b, pairs_b)
-        model = parse_model(text_a)
-        assert model.n == 16 and model.m == 40
-        parse_pairs(pairs_a, model.n)
+        model_a, pairs_a = generate_objects("random", n=16, m=40, k=2, seed=7)
+        model_b, pairs_b = generate_objects("random", n=16, m=40, k=2, seed=7)
+        assert (model_a, pairs_a) == (model_b, pairs_b)
+        assert parse_model(serialize_model(model_a)) == model_a
+        assert model_a.n == 16 and model_a.m == 40
+        pairs_a.validate(model_a.n)
 
     def test_different_seeds_differ(self):
-        a, _ = generate("random", n=16, m=40, seed=1)
-        b, _ = generate("random", n=16, m=40, seed=2)
+        a, _ = generate_objects("random", n=16, m=40, seed=1)
+        b, _ = generate_objects("random", n=16, m=40, seed=2)
         assert a != b
 
     def test_chain_of_cycles_reproduces_the_two_cycle_chain(self):

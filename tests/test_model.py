@@ -1,11 +1,15 @@
 """Model and pairs parsing, validation, serialization, bad vertices."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchk import (
     ModelError,
+    SymbolicManager,
+    UsageError,
     bad_vertices,
     pair_sets,
     parse_model,
@@ -35,6 +39,20 @@ class TestParseModel:
     def test_sink_rejected(self):
         with pytest.raises(ModelError, match="no outgoing edge"):
             parse_model("graph 2\ne 0 1\n")
+
+    def test_sink_rejected_in_memory_bounded_by_edges(self):
+        # A huge vertex count with one edge is rejected without a
+        # per-vertex table, by the model and by the manager alike.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
+                parse_model("graph 20000000\ne 0 0\n")
+            with pytest.raises(UsageError, match="vertex 1 has no outgoing edge"):
+                SymbolicManager(20_000_000, [(0, 0)], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ModelError, match="duplicate"):

@@ -120,7 +120,6 @@ class TestCounters:
         counters = mgr.snapshot_counters()
         assert counters.cpre_ops == 1
         assert counters.pre_ops == 0 and counters.headline == 0
-        assert counters.headline_with_cpre == 2
 
     def test_paused_context(self, f1):
         mgr = mgr_for(f1)
