@@ -42,10 +42,18 @@ __all__ = [
 def first_sink(n, edges):
     """The smallest vertex of ``range(n)`` that is no edge's source, or None.
 
-    Looks only at the edge sources, so its memory does not grow with `n`.
+    Needs memory in proportion to the edges, never to a larger `n`: with
+    fewer edges than vertices there is a sink among the first
+    ``len(edges) + 1`` ids, else one byte per vertex flags the sources.
     """
-    sources = {u for u, _ in edges}
-    return next((v for v in range(n) if v not in sources), None)
+    if len(edges) < n:
+        sources = {u for u, _ in edges}
+        return next(v for v in range(n) if v not in sources)
+    has_edge = bytearray(n)
+    for u, _ in edges:
+        has_edge[u] = 1
+    sink = has_edge.find(0)
+    return None if sink < 0 else sink
 
 
 @dataclasses.dataclass(frozen=True)

@@ -37,9 +37,12 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
            debug=False):
     """Good components among the candidate sets `initial`, and the events.
 
-    `kernels` is ``(bad_vertices, all_sccs, lock_step_search)``.  Returns
-    the accepted components in acceptance order and the counts of
-    bad-vertex rounds, SCC splits, lock-step splits and acceptances.
+    `kernels` is ``(bad_vertices, all_sccs, lock_step_search)``, passed
+    from the caller's module bindings rather than imported here, because
+    tools that wrap them per calling module (``perfbench/tracing.py``)
+    patch those bindings.  Returns the accepted components in acceptance
+    order and the counts of bad-vertex rounds, SCC splits, lock-step
+    splits and acceptances.
     """
     bad_vertices, all_sccs, lock_step_search = kernels
     empty = mgr.empty()

@@ -82,8 +82,6 @@ def streett_graph_improved(mgr, model, pairs, threshold="auto", debug=False) -> 
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     empty = mgr.empty()
-    # The kernels go in from this module's bindings, where tools that wrap
-    # them per calling module (perfbench/tracing.py) find them.
     good, events = refine(
         mgr, model, psets, initial, thresh,
         attract=lambda within, targets: targets,

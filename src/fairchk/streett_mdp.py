@@ -101,8 +101,6 @@ def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> Ru
     def attract(within, targets):
         return random_attractor(mgr, within, targets, debug=debug)
 
-    # The kernels go in from this module's bindings, where tools that wrap
-    # them per calling module (perfbench/tracing.py) find them.
     good, events = refine(
         mgr, model, psets, mecs, thresh,
         attract=attract,

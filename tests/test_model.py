@@ -37,8 +37,10 @@ class TestParseModel:
         assert model.random_vertices == frozenset({1})
 
     def test_sink_rejected(self):
-        with pytest.raises(ModelError, match="no outgoing edge"):
+        with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
             parse_model("graph 2\ne 0 1\n")
+        with pytest.raises(ModelError, match="vertex 2 has no outgoing edge"):
+            parse_model("graph 3\ne 0 1\ne 0 2\ne 1 0\n")
 
     def test_sink_rejected_in_memory_bounded_by_edges(self):
         # A huge vertex count with one edge is rejected without a
