@@ -59,10 +59,11 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
     def boundary(rest, removed, lost_in=None, lost_out=None):
         # Witnesses of `rest` once `removed` left it; None stands for no
         # earlier witnesses, which saves the two unions.
-        into, out_of = mgr.post(removed), mgr.pre(removed)
-        if lost_in is not None:
-            into, out_of = mgr.union(lost_in, into), mgr.union(lost_out, out_of)
-        return mgr.intersect(into, rest), mgr.intersect(out_of, rest)
+        if lost_in is None:
+            return (mgr.intersect(mgr.post(removed), rest),
+                    mgr.intersect(mgr.pre(removed), rest))
+        return (mgr.intersect(mgr.union(lost_in, mgr.post(removed)), rest),
+                mgr.intersect(mgr.union(lost_out, mgr.pre(removed)), rest))
 
     def push_rest(part, removed, lost_in=None, lost_out=None):
         rest = mgr.difference(part, removed)
