@@ -3,11 +3,12 @@
 Candidates (initially the SCCs of the underlying graph) are repeatedly
 cleaned of random vertices with outgoing edges together with their random
 attractor, then either accepted as end-components or split further.  The
-basic variant recomputes the full SCC decomposition after every cleanup.
-The improved variant keeps, per candidate, the set of vertices that lost
-outgoing edges; while that set is small, a single bottom SCC is peeled
-off with a lock-step search (forward searches only), which is accepted
-directly whenever it has an edge.
+basic variant (loop: ``refine.refine_basic``) recomputes the full SCC
+decomposition after every cleanup.  The improved variant keeps its own
+loop, which tracks only the vertices that lost outgoing edges; while
+there are few, a single bottom SCC is peeled off with a lock-step search
+(forward searches only), which is accepted directly whenever it has an
+edge.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import time
 from collections import deque
 
 from . import invariants
-from .model import Candidate
+from .model import Candidate, has_edge
 from .reach import random_attractor, random_escapes
+from .refine import refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import mec_threshold
@@ -43,34 +45,30 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
     events.setdefault("lockstep", 0)
     thresh = mec_threshold(threshold, model.n, model.m)
     empty = mgr.empty()
-    accepted = []
 
     initial = all_sccs(mgr, universe)
     if prep_sink is not None:
         prep_sink.append(mgr.snapshot_counters())
 
-    def accept(svs):
-        if debug:
-            invariants.check_end_component(mgr, model, svs)
-        accepted.append(svs)
-
     if not improved:
-        pending = deque(initial)
-        while pending:
-            svs = pending.popleft()
-            escapes = random_escapes(mgr, svs, mgr.universe)
-            if not mgr.is_empty(escapes):
-                events["rescc"] += 1
-                attr = random_attractor(mgr, svs, escapes, debug=debug)
-                rest = mgr.difference(svs, attr)
-                if debug:
-                    invariants.check_no_random_escape(mgr, rest)
-                pending.extend(all_sccs(mgr, rest))
-            elif not mgr.is_empty(mgr.intersect(mgr.post(svs), svs)):
-                accept(svs)
-            if debug:
-                invariants.check_disjoint(mgr, list(pending) + accepted)
+        accepted, rounds = refine_basic(
+            mgr, model, (), initial,
+            removal=lambda svs: random_escapes(mgr, svs, mgr.universe),
+            attract=lambda within, targets: random_attractor(
+                mgr, within, targets, debug=debug),
+            decompose=lambda rest: all_sccs(mgr, rest),
+            accepts=lambda svs: has_edge(mgr, svs),
+            debug=debug,
+        )
+        events["rescc"] += rounds
     else:
+        accepted = []
+
+        def accept(svs):
+            if debug:
+                invariants.check_end_component(mgr, model, svs)
+            accepted.append(svs)
+
         pending = deque(Candidate(comp, empty, empty) for comp in initial)
         while pending:
             cand = pending.popleft()
@@ -84,8 +82,8 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
                 lost_out = mgr.intersect(mgr.union(lost_out, mgr.pre(attr)), svs)
                 if debug:
                     invariants.check_no_random_escape(mgr, svs)
-            if mgr.is_empty(mgr.intersect(mgr.post(svs), svs)):
-                continue  # no edge left
+            if not has_edge(mgr, svs):
+                continue
             if mgr.cardinality(lost_out) == 0:
                 accept(svs)
             elif mgr.cardinality(lost_out) >= thresh:
@@ -102,7 +100,7 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
                 comp, _, lost_out = lock_step_search(
                     mgr, svs, empty, lost_out, debug=debug
                 )
-                if not mgr.is_empty(mgr.intersect(mgr.post(comp), comp)):
+                if has_edge(mgr, comp):
                     accept(comp)
                 rest = mgr.difference(svs, comp)
                 if not mgr.is_empty(rest):
@@ -127,15 +125,8 @@ def _report(mgr, model, name, improved, threshold, debug):
     start = time.perf_counter()
     events = {}
     prep_sink = []
-    mecs = mec_decomposition(
-        mgr,
-        model,
-        improved=improved,
-        threshold=threshold,
-        debug=debug,
-        events=events,
-        prep_sink=prep_sink,
-    )
+    mecs = mec_decomposition(mgr, model, improved=improved, threshold=threshold,
+                             debug=debug, events=events, prep_sink=prep_sink)
     return RunReport(
         algorithm=name,
         counters=mgr.snapshot_counters(),

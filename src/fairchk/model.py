@@ -33,6 +33,7 @@ __all__ = [
     "parse_pairs",
     "serialize_pairs",
     "bad_vertices",
+    "has_edge",
     "union_all",
     "pair_sets",
     "first_sink",
@@ -278,6 +279,12 @@ def bad_vertices(mgr, svs, pairs) -> object:
     if acc is None:
         return mgr.empty()
     return mgr.intersect(acc, svs)
+
+
+def has_edge(mgr, svs) -> bool:
+    """Whether the subgraph induced by `svs` has an edge (one post, one
+    set operation)."""
+    return not mgr.is_empty(mgr.intersect(mgr.post(svs), svs))
 
 
 def union_all(mgr, sets):

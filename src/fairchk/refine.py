@@ -1,7 +1,10 @@
-"""The refinement loop of the improved fairness algorithms.
+"""The refinement loops of the fairness and MEC algorithms.
 
-Graph and MDP fairness refine candidate vertex sets in the same way.  Each
-candidate carries the vertices that lost an incoming (`lost_in`) or an
+:func:`refine_basic` runs the three basic variants (graph fairness, MDP
+fairness, MEC decomposition): it removes what cannot stay in a candidate,
+with its attractor, and decomposes the rest from scratch.  :func:`refine`
+runs the improved graph and MDP fairness algorithms.  Each of its
+candidates carries the vertices that lost an incoming (`lost_in`) or an
 outgoing (`lost_out`) edge since a superset was last known to be strongly
 connected.  Per candidate, bad vertices are removed until none remain, the
 witnesses updated along the removal boundary; a candidate without an edge
@@ -10,16 +13,16 @@ is dropped; one without witnesses is accepted; one with at least
 the lock-step search, which separates one top or bottom SCC, and both
 halves keep witnesses along the split.
 
-The two problems differ only in what a removal takes along, given to
-:func:`refine` as two operators:
+Graphs and MDPs differ only in what a removal takes along, given as
+operators:
 
-- ``attract(within, targets)``: the vertices of `within` removed with
-  `targets`.  Graphs remove `targets` alone; MDPs remove their random
-  attractor.
-- ``escapes(part, whole)``: the vertices of `part`, a component split off
-  `whole`, that must leave with the rest of `whole`.  Graphs have none;
-  on MDPs they are the random vertices of `part` with an edge into
-  ``whole ∖ part``.
+- ``attract(within, targets)`` (both loops): the vertices of `within`
+  removed with `targets`.  Graphs remove `targets` alone; MDPs remove
+  their random attractor.
+- ``escapes(part, whole)`` (:func:`refine`): the vertices of `part`, a
+  component split off `whole`, that must leave with the rest of `whole`.
+  Graphs have none; on MDPs they are the random vertices of `part` with
+  an edge into ``whole ∖ part``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,39 @@ from collections import deque
 
 from . import invariants
 from .errors import InvariantViolation
-from .model import Candidate
+from .model import Candidate, has_edge
 
-__all__ = ["refine"]
+__all__ = ["refine", "refine_basic"]
+
+
+def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
+                 accepts, debug=False):
+    """Accepted sets among the candidates `initial`, and the round count.
+
+    A candidate `svs` with ``removal(svs)`` nonempty loses what `attract`
+    takes along with it, and ``decompose(rest)`` gives the new candidates;
+    one with nothing to remove is accepted if ``accepts(svs)``.  Operators
+    call kernels through the caller's module bindings, as in :func:`refine`.
+    """
+    pending = deque(initial)
+    good = []
+    rounds = 0
+    while pending:
+        svs = pending.popleft()
+        removed = removal(svs)
+        if not mgr.is_empty(removed):
+            rounds += 1
+            rest = mgr.difference(svs, attract(svs, removed))
+            if debug:
+                invariants.check_no_random_escape(mgr, rest)
+            pending.extend(decompose(rest))
+        elif accepts(svs):
+            if debug:
+                invariants.check_end_component(mgr, model, svs, psets)
+            good.append(svs)
+        if debug:
+            invariants.check_disjoint(mgr, list(pending) + good)
+    return good, rounds
 
 
 def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
@@ -100,8 +133,8 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
         if debug:
             invariants.check_no_random_escape(mgr, svs)
 
-        if mgr.is_empty(mgr.intersect(mgr.post(svs), svs)):
-            continue  # no edge left
+        if not has_edge(mgr, svs):
+            continue
         witnesses = mgr.cardinality(lost_in) + mgr.cardinality(lost_out)
         if witnesses == 0:
             accept(svs)

@@ -3,23 +3,22 @@
 Both algorithms refine a family of candidate vertex sets (initially the
 SCCs of the graph) by removing bad vertices until the remaining good
 components are found, and finally return everything that can reach a good
-component.  The basic variant recomputes the full SCC decomposition of a
-candidate after every removal.  The improved variant tracks which
-vertices lost incoming or outgoing edges and, while there are few of
-them, splits candidates with the lock-step search instead, which pays
-proportionally to the smaller side of the split.
+component.  The basic variant (loop: ``refine.refine_basic``) recomputes
+the full SCC decomposition of a candidate after every removal.  The
+improved variant (loop: ``refine.refine``) tracks which vertices lost
+incoming or outgoing edges and, while there are few of them, splits
+candidates with the lock-step search instead, which pays proportionally
+to the smaller side of the split.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
-from . import invariants
 from .errors import UsageError
-from .model import bad_vertices, pair_sets, union_all
+from .model import bad_vertices, has_edge, pair_sets, union_all
 from .reach import reach_backward
-from .refine import refine
+from .refine import refine, refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import streett_threshold
@@ -37,24 +36,16 @@ def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
     _require_graph(model)
     start = time.perf_counter()
     psets = pair_sets(mgr, pairs)
-    pending = deque(all_sccs(mgr, mgr.universe))
+    initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
-    good = []
-    events = {"rescc": 0, "accepted": 0, "bad_rounds": 0}
-    while pending:
-        svs = pending.popleft()
-        bad = bad_vertices(mgr, svs, psets)
-        if not mgr.is_empty(bad):
-            events["bad_rounds"] += 1
-            events["rescc"] += 1
-            pending.extend(all_sccs(mgr, mgr.difference(svs, bad)))
-        elif not mgr.is_empty(mgr.intersect(mgr.post(svs), svs)):
-            if debug:
-                invariants.check_end_component(mgr, model, svs, psets)
-            good.append(svs)
-            events["accepted"] += 1
-        if debug:
-            invariants.check_disjoint(mgr, [c for c in pending] + good)
+    good, rounds = refine_basic(
+        mgr, model, psets, initial,
+        removal=lambda svs: bad_vertices(mgr, svs, psets),
+        attract=lambda within, targets: targets,
+        decompose=lambda rest: all_sccs(mgr, rest),
+        accepts=lambda svs: has_edge(mgr, svs),
+        debug=debug,
+    )
     win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
     return RunReport(
         algorithm="streett-graph-basic",
@@ -62,7 +53,7 @@ def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
         preprocessing=prep,
         wall_time=time.perf_counter() - start,
         winning=mgr.to_ids(win),
-        events=events,
+        events={"rescc": rounds, "accepted": len(good), "bad_rounds": rounds},
     )
 
 
