@@ -84,9 +84,10 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
                     invariants.check_no_random_escape(mgr, svs)
             if not has_edge(mgr, svs):
                 continue
-            if mgr.cardinality(lost_out) == 0:
+            witnesses = mgr.cardinality(lost_out)
+            if witnesses == 0:
                 accept(svs)
-            elif mgr.cardinality(lost_out) >= thresh:
+            elif witnesses >= thresh:
                 events["rescc"] += 1
                 parts = all_sccs(mgr, svs)
                 if len(parts) == 1:
