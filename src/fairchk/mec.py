@@ -98,24 +98,16 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
                 events["lockstep"] += 1
                 if debug:
                     invariants.check_start_cover(mgr, model, svs, empty, lost_out)
-                comp, _, lost_out = lock_step_search(
-                    mgr, svs, empty, lost_out, debug=debug
-                )
+                comp, _, lost_out = lock_step_search(mgr, svs, empty, lost_out,
+                                                     debug=debug)
                 if has_edge(mgr, comp):
                     accept(comp)
                 rest = mgr.difference(svs, comp)
                 if not mgr.is_empty(rest):
-                    pending.append(
-                        Candidate(
-                            rest,
-                            empty,
-                            mgr.intersect(mgr.union(lost_out, mgr.pre(comp)), rest),
-                        )
-                    )
+                    lost_out = mgr.intersect(mgr.union(lost_out, mgr.pre(comp)), rest)
+                    pending.append(Candidate(rest, empty, lost_out))
             if debug:
-                invariants.check_disjoint(
-                    mgr, [c.vertices for c in pending] + accepted
-                )
+                invariants.check_disjoint(mgr, [c.vertices for c in pending] + accepted)
 
     with mgr.counters_paused():
         accepted.sort(key=mgr.min_vertex)

@@ -1,15 +1,13 @@
 """Almost-sure winning sets of MDPs with strong-fairness objectives.
 
 Candidates for good end-components start as the MECs of the MDP.  The
-basic variant (loop: ``refine.refine_basic``) strips the random attractor
-of the bad vertices and then recomputes the MEC decomposition of the
-remainder.  The improved variant (loop: ``refine.refine``) interleaves the
-end-component maintenance with the bad-vertex removal: candidates merely
-stay free of escaping random edges (attractors of whatever gets removed
-are removed along), which lets each refinement step get away with an SCC
-split or a lock-step split instead of a full MEC recomputation.  In both
-cases the result is the set of vertices that reach the union of the good
-end-components with probability one.
+basic loop (``refine.refine_basic``) strips the random attractor of the
+bad vertices and recomputes the MEC decomposition of the rest.  The
+improved loop (``refine.refine``) keeps candidates merely free of
+escaping random edges, removing the attractor of whatever gets removed,
+so each step gets away with an SCC or lock-step split instead of a full
+MEC recomputation.  The result is the set of vertices that reach the
+union of the good end-components with probability one.
 """
 
 from __future__ import annotations
