@@ -77,8 +77,6 @@ class Model:
     def validate(self) -> "Model":
         if self.kind not in ("graph", "mdp"):
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if self.n <= 0:
-            raise ModelError("vertex count must be positive")
         if self.kind == "graph" and self.random_vertices:
             raise ModelError("graph models cannot have random vertices")
         seen = set()
@@ -88,12 +86,18 @@ class Model:
             if (u, v) in seen:
                 raise ModelError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        sink = first_sink(self.n, self.edges)
-        if sink is not None:
-            raise ModelError(f"vertex {sink} has no outgoing edge")
         for v in self.random_vertices:
             if not 0 <= v < self.n:
                 raise ModelError(f"random vertex {v} out of range")
+        return self._check_sinks()
+
+    def _check_sinks(self) -> "Model":
+        # The checks that `parse_model` cannot make line by line.
+        if self.n <= 0:
+            raise ModelError("vertex count must be positive")
+        sink = first_sink(self.n, self.edges)
+        if sink is not None:
+            raise ModelError(f"vertex {sink} has no outgoing edge")
         return self
 
     def out_adjacency(self) -> list:
@@ -149,7 +153,7 @@ def _tokens(text):
 
 
 def parse_model(text: str) -> Model:
-    """Parse and validate a model file; errors carry line numbers."""
+    """Parse and validate a model file, each fact once; errors carry line numbers."""
     it = _tokens(text)
     try:
         lineno, head = next(it)
@@ -192,8 +196,7 @@ def parse_model(text: str) -> Model:
             random_vertices.update(vs)
         else:
             raise ModelError(f"unknown directive {tok[0]!r}", lineno)
-    model = Model(kind, n, tuple(edges), frozenset(random_vertices))
-    return model.validate()
+    return Model(kind, n, tuple(edges), frozenset(random_vertices))._check_sinks()
 
 
 def serialize_model(model: Model) -> str:
@@ -241,7 +244,7 @@ def parse_pairs(text: str, n: int) -> StreettPairs:
     pairs = tuple(
         (frozenset(left), frozenset(right)) for left, right in zip(lefts, rights)
     )
-    return StreettPairs(k, pairs).validate(n)
+    return StreettPairs(k, pairs)
 
 
 def serialize_pairs(pairs: StreettPairs) -> str:
@@ -282,8 +285,7 @@ def bad_vertices(mgr, svs, pairs) -> object:
 
 
 def has_edge(mgr, svs) -> bool:
-    """Whether the subgraph induced by `svs` has an edge (one post, one
-    set operation)."""
+    """Whether `svs` induces an edge: one post and one set operation."""
     return not mgr.is_empty(mgr.intersect(mgr.post(svs), svs))
 
 

@@ -117,6 +117,62 @@ def test_round_trip(rng, n, mdp):
     assert parse_pairs(serialize_pairs(pairs), n) == pairs
 
 
+DEFECTS = ("duplicate", "edge_range", "graph_random", "random_range", "sink", "size")
+LINE_DEFECTS = {"duplicate", "edge_range", "graph_random", "random_range"}
+
+
+def _malform(rng, model, defect):
+    """`model` with `defect` added; ``size`` must come last."""
+    kind, n = model.kind, model.n
+    edges, randoms = list(model.edges), set(model.random_vertices)
+    at = rng.randint(0, len(edges))
+    if defect == "duplicate" and edges:
+        edges.insert(at, rng.choice(edges))
+    elif defect == "edge_range":
+        bad = rng.choice([-1, n, n + 3])
+        edges.insert(at, rng.choice([(bad, rng.randrange(n)), (rng.randrange(n), bad)]))
+    elif defect == "graph_random":
+        kind = "graph"
+        randoms.add(rng.randrange(n))
+    elif defect == "random_range":
+        randoms.add(rng.choice([-1, n, n + 3]))
+    elif defect == "sink":
+        sink = rng.randrange(n)
+        edges = [e for e in edges if e[0] != sink]
+    elif defect == "size":
+        n = rng.choice([0, -1, -n])
+        if rng.random() < 0.5:
+            edges, randoms = [], set()
+    return Model(kind, n, tuple(edges), frozenset(randoms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.sets(st.sampled_from(DEFECTS), max_size=3),
+)
+def test_parse_rejects_what_validate_rejects(rng, n, mdp, defects):
+    # Parsing checks each fact once, not through validate(); it must still
+    # reject a serialized model exactly when validate() does.
+    edges = tuple(random_graph(rng, n, rng.randint(n, min(n * n, 3 * n))))
+    randoms = frozenset(v for v in range(n) if mdp and rng.random() < 0.3)
+    model = Model("mdp" if mdp else "graph", n, edges, randoms)
+    for defect in sorted(defects):
+        model = _malform(rng, model, defect)
+    try:
+        model.validate()
+    except ModelError:
+        with pytest.raises(ModelError) as err:
+            parse_model(serialize_model(model))
+        if defects <= LINE_DEFECTS:
+            assert err.value.line is not None
+    else:
+        assert not defects
+        assert parse_model(serialize_model(model)) == model
+
+
 class TestBadVertices:
     def test_missing_grant_marks_requests(self, f1):
         mgr = mgr_for(f1)
