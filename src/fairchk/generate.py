@@ -11,10 +11,10 @@ Families:
   to the first vertex of the next.
 - ``grid``: a directed torus with right and down edges.
 
-Pairs are sampled by independent per-vertex inclusion with a small
-density and a size cap, mirroring the regime where objectives are small
-relative to the state space.  All output is a deterministic function of
-the parameters and the seed.
+Each side of a pair takes each vertex with probability `PAIR_DENSITY`,
+up to ``max(1, ceil(n / PAIR_CAP_DIVISOR))`` vertices, mirroring the
+regime where objectives are small relative to the state space.  All
+output is a deterministic function of the parameters and the seed.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .model import Model, StreettPairs
 __all__ = ["generate_objects", "random_edges", "FAMILIES"]
 
 FAMILIES = ("random", "mdp-random", "chain-of-cycles", "grid")
+PAIR_DENSITY = 0.2
+PAIR_CAP_DIVISOR = 5
 
 
 def random_edges(rng, n, m):
@@ -52,7 +54,8 @@ def random_edges(rng, n, m):
     return edges
 
 
-def _sample_pairs(rng, n, k, density, cap):
+def _sample_pairs(rng, n, k):
+    cap = max(1, math.ceil(n / PAIR_CAP_DIVISOR))
     pairs = []
     for _ in range(k):
         sets = []
@@ -61,7 +64,7 @@ def _sample_pairs(rng, n, k, density, cap):
             for v in range(n):
                 if len(chosen) >= cap:
                     break
-                if rng.random() < density:
+                if rng.random() < PAIR_DENSITY:
                     chosen.append(v)
             sets.append(frozenset(chosen))
         pairs.append((sets[0], sets[1]))
@@ -69,8 +72,7 @@ def _sample_pairs(rng, n, k, density, cap):
 
 
 def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
-                     random_fraction=0.0, seed=0, pair_density=0.2,
-                     pair_cap=None) -> tuple:
+                     random_fraction=0.0, seed=0) -> tuple:
     """A (Model, StreettPairs) instance of `family` for the given seed."""
     if k < 0:
         raise UsageError("the number of pairs must be non-negative")
@@ -125,7 +127,4 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
     else:
         raise UsageError(f"unknown family {family!r}")
     model.validate()
-    if pair_cap is None:
-        pair_cap = max(1, math.ceil(model.n / 5))
-    pairs = _sample_pairs(rng, model.n, k, pair_density, pair_cap)
-    return model, pairs
+    return model, _sample_pairs(rng, model.n, k)
