@@ -40,10 +40,11 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
                  accepts, debug=False):
     """Accepted sets among the candidates `initial`, and the round count.
 
-    A candidate `svs` with ``removal(svs)`` nonempty loses what `attract`
-    takes along with it, and ``decompose(rest)`` gives the new candidates;
-    one with nothing to remove is accepted if ``accepts(svs)``.  Operators
-    call kernels through the caller's module bindings, as in :func:`refine`.
+    A candidate `svs` with nonempty ``removal(svs)`` loses ``attract(svs,
+    removal(svs))``, and ``decompose`` of the rest gives new candidates
+    (one round); one with nothing to remove is accepted if ``accepts(svs)``.
+    Operators call kernels through the caller's module bindings, as in
+    :func:`refine`.  `psets` serves only the debug checks.
     """
     pending = deque(initial)
     good = []
