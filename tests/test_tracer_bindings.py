@@ -54,7 +54,7 @@ MDP = {"all_sccs", "bad_vertices", "attractor", "decomposition", "final"}
 # call it, so the MEC runs leave "decomposition" out.
 ALGORITHMS = (
     ("streett-graph-basic", graph_instance,
-     lambda mgr, m, p: streett_graph_basic(mgr, m, p),
+     streett_graph_basic,
      reach_backward, GRAPH),
     ("streett-graph-improved", graph_instance,
      lambda mgr, m, p: streett_graph_improved(mgr, m, p, FORCE_LOCKSTEP),
@@ -66,7 +66,7 @@ ALGORITHMS = (
      lambda mgr, m, p: mec_improved(mgr, m, FORCE_LOCKSTEP),
      None, MEC | {"lock_step"}),
     ("streett-mdp-basic", mdp_instance,
-     lambda mgr, m, p: streett_mdp_basic(mgr, m, p),
+     streett_mdp_basic,
      almost_sure_reach, MDP),
     ("streett-mdp-improved", mdp_instance,
      lambda mgr, m, p: streett_mdp_improved(mgr, m, p, FORCE_LOCKSTEP),
