@@ -16,9 +16,13 @@ manager calls would have counted.
 
 Two interchangeable backends implement the same semantics:
 
-- ``bitset``: vertex sets are Python integers used as bit masks and the
-  edge relation is a pair of adjacency mask tables.  Fast and transparent;
-  the reference backend for tests.
+- ``bitset``: vertex sets are Python integers used as bit masks.  The
+  edge relation is a pair of adjacency mask tables on models of at most
+  ``_MASK_MAX_N`` (4096) vertices, where the tables take at most 4 MB, and
+  a pair of per-vertex neighbour-id tuples on larger models, in memory
+  proportional to the edges.  On tuples, the image of a set of more than
+  ``_BULK_CUTOVER`` (24) vertices is built in one byte buffer.  Fast and
+  transparent; the reference backend for tests.
 - ``obdd``: vertex sets are reduced ordered binary decision diagrams over
   the binary encoding of vertex ids (see :mod:`fairchk.obdd`).
 
@@ -107,21 +111,68 @@ class VertexSet:
         return "VertexSet{" + ", ".join(map(str, ids)) + "}"
 
 
+# Adjacency is kept as two tables of neighbour masks while n is at most
+# this.  A mask's bits reach its highest neighbour id, so the tables take
+# up to about n*n/4 bytes, 4 MB at this bound.  Larger models keep tuples
+# of neighbour ids instead, in memory proportional to the edges.
+_MASK_MAX_N = 4096
+# Sets with more vertices than this are read by one scan of their binary
+# string instead of bit by bit; on neighbour tuples, their images are then
+# marked in a byte buffer and read back as one integer.
+_BULK_CUTOVER = 24
+
+
+def _ids(h):
+    """Ids of the bits set in `h`, ascending, from one scan of ``bin(h)``."""
+    s = bin(h)[:1:-1]  # s[v] is bit v
+    out = []
+    i = s.find("1")
+    while i >= 0:
+        out.append(i)
+        i = s.find("1", i + 1)
+    return out
+
+
+def _neighbour_tuples(n, pairs):
+    """Per vertex u of ``range(n)``, the tuple of all v with (u, v) in `pairs`."""
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+    for u, vs in enumerate(adj):
+        adj[u] = tuple(vs)  # frees each list as its tuple is made
+    return tuple(adj)
+
+
 class _BitsetBackend:
-    """Vertex sets as integer bit masks, adjacency as mask tables."""
+    """Vertex sets as integer bit masks; adjacency as masks or id tuples.
+
+    The representation of the edge relation is picked from `n` at
+    construction: mask tables while ``n <= _MASK_MAX_N``, per-vertex tuples
+    of neighbour ids above.  On masks, an image ORs one neighbour mask per
+    vertex of its argument.  On tuples, an argument of at most
+    ``_BULK_CUTOVER`` vertices shifts in one bit per neighbour; a larger one
+    marks the neighbours in a ``bytearray`` of ``b"0"``/``b"1"`` and turns
+    it into the result with one ``int(..., 2)``.
+    """
 
     name = "bitset"
 
     def __init__(self, n, edges, random_vertices):
         self.n = n
         self.full = (1 << n) - 1
-        out = [0] * n
-        inc = [0] * n
-        for u, v in edges:
-            out[u] |= 1 << v
-            inc[v] |= 1 << u
-        self.out_masks = out
-        self.in_masks = inc
+        if n <= _MASK_MAX_N:
+            out = [0] * n
+            inc = [0] * n
+            for u, v in edges:
+                out[u] |= 1 << v
+                inc[v] |= 1 << u
+            self.out_masks = out
+            self.in_masks = inc
+            self.out_adj = self.in_adj = None
+        else:
+            self.out_masks = self.in_masks = None
+            self.out_adj = _neighbour_tuples(n, edges)
+            self.in_adj = _neighbour_tuples(n, ((v, u) for u, v in edges))
         vr = 0
         for v in random_vertices:
             vr |= 1 << v
@@ -143,6 +194,8 @@ class _BitsetBackend:
         return 1 << v
 
     def to_ids(self, h):
+        if h.bit_count() > _BULK_CUTOVER:
+            return _ids(h)
         out = []
         while h:
             b = h & -h
@@ -151,8 +204,10 @@ class _BitsetBackend:
         return out
 
     def pre(self, z):
-        acc = 0
         masks = self.in_masks
+        if masks is None:
+            return self._image(z, self.in_adj)
+        acc = 0
         while z:
             b = z & -z
             acc |= masks[b.bit_length() - 1]
@@ -160,20 +215,40 @@ class _BitsetBackend:
         return acc
 
     def post(self, z):
-        acc = 0
         masks = self.out_masks
+        if masks is None:
+            return self._image(z, self.out_adj)
+        acc = 0
         while z:
             b = z & -z
             acc |= masks[b.bit_length() - 1]
             z ^= b
         return acc
 
+    def _image(self, z, adj):
+        """The neighbours in `adj` of the vertices of `z`, as a mask."""
+        if z.bit_count() > _BULK_CUTOVER:
+            buf = bytearray(b"0") * self.n  # buf[u] is bit u
+            for v in _ids(z):
+                for u in adj[v]:
+                    buf[u] = 49  # ord("1")
+            return int(buf[::-1], 2)
+        acc = 0
+        while z:
+            b = z & -z
+            for u in adj[b.bit_length() - 1]:
+                acc |= 1 << u
+            z ^= b
+        return acc
+
     def cpre_random(self, z, s):
         # Direct per-vertex evaluation; deliberately not routed through
         # pre() so tests can cross-check the two routes.
+        out = self.out_masks
+        if out is None:
+            return self._cpre_tuples(z, s)
         acc = 0
         vr = self.vr_mask
-        out = self.out_masks
         not_z = ~z
         t = s
         while t:
@@ -188,6 +263,21 @@ class _BitsetBackend:
                 # the vertex has no successor inside s).
                 acc |= b
         return acc
+
+    def _cpre_tuples(self, z, s):
+        """`cpre_random` on neighbour tuples, by the same per-vertex rule."""
+        n = self.n
+        in_z, in_s, is_random = (
+            format(h, f"0{n}b")[::-1] for h in (z, s, self.vr_mask)
+        )
+        buf = bytearray(b"0") * n
+        for v in _ids(s):
+            # Per successor inside s, whether it lies in z: a random vertex
+            # needs one, a player-1 vertex all (vacuously true for none).
+            inside = [in_z[u] == "1" for u in self.out_adj[v] if in_s[u] == "1"]
+            if (any if is_random[v] == "1" else all)(inside):
+                buf[v] = 49
+        return int(buf[::-1], 2)
 
     def union(self, a, b):
         return a | b
@@ -296,6 +386,7 @@ class SymbolicManager:
         return VertexSet(self, self._b.empty())
 
     def from_ids(self, ids) -> VertexSet:
+        ids = list(ids)  # read once: `ids` may be a one-shot iterator
         for v in ids:
             if not 0 <= v < self.n:
                 raise UsageError(f"vertex {v} out of range")

@@ -11,10 +11,37 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 
+import pytest
+
+from fairchk import symbolic
 from fairchk.generate import random_edges as random_graph
 from fairchk.model import Model, StreettPairs
 from fairchk.oracle import tarjan_scc
+
+# The bitset backend's two adjacency representations, each with the value
+# of the selection bound `symbolic._MASK_MAX_N` that forces it for every n.
+BITSET_REPRESENTATIONS = {"masks": 2**62, "tuples": 0}
+
+
+@contextmanager
+def bitset_representation(name):
+    """Bitset backends built inside the block use `name`'s adjacency."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_MASK_MAX_N", BITSET_REPRESENTATIONS[name])
+        yield
+
+
+def sized_ids(rng, n):
+    """Random id lists of sizes 0, 1, the bulk cut-over and one either side
+    of it, and n, each clipped to n: every path of the bitset images and
+    of `to_ids` gets an argument."""
+    cut = symbolic._BULK_CUTOVER
+    return [
+        sorted(rng.sample(range(n), min(size, n)))
+        for size in (0, 1, cut - 1, cut, cut + 1, n)
+    ]
 
 
 def random_pairs(rng, n, k, density=0.25):
@@ -46,6 +73,20 @@ def mdp_instance(seed):
     randoms = frozenset(rng.sample(range(n), int(frac * n)))
     pairs = random_pairs(rng, n, rng.randint(0, 3))
     return Model("mdp", n, tuple(edges), randoms).validate(), pairs
+
+
+def ring_chain(n, k):
+    """Bidirected player-1 ring MDP whose k pairs force one removal round each.
+
+    Pair 1 is ({0}, {}) and pair i is ({i-1}, {i-2}): removing the only
+    request of pair 1 leaves pair 2's request without its grant, and so on
+    down the chain, so the basic algorithm re-decomposes k times.
+    """
+    edges = [e for v in range(n) for e in ((v, (v + 1) % n), ((v + 1) % n, v))]
+    pairs = [(frozenset({0}), frozenset())]
+    pairs += [(frozenset({i - 1}), frozenset({i - 2})) for i in range(2, k + 1)]
+    return (Model("mdp", n, tuple(edges), frozenset()).validate(),
+            StreettPairs(k, tuple(pairs)))
 
 
 def scc_instance(seed, n_max=64):

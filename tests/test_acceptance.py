@@ -28,12 +28,21 @@ from fairchk.oracle import (
     tarjan_scc,
 )
 
-from helpers import graph_instance, lockstep_instance, mdp_instance, scc_instance
+from helpers import (
+    graph_instance,
+    lockstep_instance,
+    mdp_instance,
+    ring_chain,
+    scc_instance,
+)
 
 TRIALS = 10_000
 LOCKSTEP_TRIALS = 1_000
 LOCKSTEP_CONSTANT = 2  # frozen regression bound for the search step count
 SCC_CONSTANT = 6  # frozen regression bound: steps <= SCC_CONSTANT * n
+# frozen regression bound: improved MDP steps <= RING_CONSTANT * n on the
+# ring chain with k = n/8 (measured 3.82 n for n = 64..512)
+RING_CONSTANT = 4
 
 
 def _ok(criterion, message, started):
@@ -190,6 +199,22 @@ def test_criterion_6_scaling_trend():
     ratios = ", ".join(f"{i / b:.4f}" for (_, b, i) in results)
     _ok(6, f"improved/basic step ratio non-increasing over n=128..4096 "
            f"({ratios})", started)
+
+
+def test_criterion_6_mdp_scaling_trend():
+    started = time.time()
+    results = []
+    for n in (64, 128, 256, 512):
+        model, pairs = ring_chain(n, n // 8)
+        basic, improved = _mdp_reports(model, pairs)
+        assert basic.winning == improved.winning
+        assert improved.main_steps <= RING_CONSTANT * n, (n, improved.main_steps)
+        results.append((n, basic.main_steps, improved.main_steps))
+    for (_, b1, i1), (_, b2, i2) in zip(results, results[1:]):
+        assert i2 * b1 <= i1 * b2, f"ratio increased: {results}"
+    ratios = ", ".join(f"{i / b:.4f}" for (_, b, i) in results)
+    _ok(6, f"MDP improved/basic step ratio non-increasing over n=64..512 "
+           f"({ratios}), improved steps <= {RING_CONSTANT}n", started)
 
 
 def test_criterion_7_backend_equivalence():

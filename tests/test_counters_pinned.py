@@ -26,7 +26,7 @@ from fairchk import (  # noqa: E402
     streett_mdp_improved,
 )
 
-from helpers import graph_instance, mdp_instance  # noqa: E402
+from helpers import bitset_representation, graph_instance, mdp_instance  # noqa: E402
 
 PIN_FILE = Path(__file__).parent / "counters_pinned.txt"
 SEEDS = 75
@@ -76,12 +76,22 @@ def pinned_lines():
     return lines
 
 
-def test_counters_match_pinned_file():
+def _check_pinned(got):
     want = PIN_FILE.read_text(encoding="utf-8").splitlines()
-    got = pinned_lines()
     assert len(got) == len(want)
     moved = [(w, g) for w, g in zip(want, got) if w != g]
     assert not moved, f"{len(moved)} lines moved, first: {moved[0]}"
+
+
+def test_counters_match_pinned_file():
+    _check_pinned(pinned_lines())
+
+
+def test_counters_match_pinned_file_on_neighbour_tuples():
+    # These instances are small enough for mask tables; force the tuples
+    # that larger models get, so that they run every algorithm end to end.
+    with bitset_representation("tuples"):
+        _check_pinned(pinned_lines())
 
 
 if __name__ == "__main__":

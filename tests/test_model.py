@@ -1,5 +1,6 @@
 """Model and pairs parsing, validation, serialization, bad vertices."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -55,6 +56,20 @@ class TestParseModel:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_bitset_manager_memory_bounded_by_edges(self):
+        # Mask tables would hold 38.7 MB here: each mask reaches its
+        # highest neighbour id.
+        n = 16_384
+        edges = random_graph(random.Random(7), n, 3 * n // 2)
+        tracemalloc.start()
+        try:
+            mgr = SymbolicManager(n, edges, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert mgr.cardinality(mgr.post(mgr.universe)) == len({v for _, v in edges})
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ModelError, match="duplicate"):

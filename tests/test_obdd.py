@@ -8,7 +8,12 @@ from fairchk.model import Model
 from fairchk.obdd import ObddBackend
 from fairchk.symbolic import _BitsetBackend
 
-from helpers import random_graph
+from helpers import (
+    BITSET_REPRESENTATIONS,
+    bitset_representation,
+    random_graph,
+    sized_ids,
+)
 
 
 def _backend(n, edges, randoms=frozenset()):
@@ -73,13 +78,20 @@ class TestEdgeOperators:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 100])
 def test_ops_match_bitset_backend(n):
-    """Op by op, the decision diagrams hold the same sets as the bit masks."""
+    """Op by op, the decision diagrams hold the same sets as the bit masks
+    and as the bitset backend on neighbour tuples."""
     rng = random.Random(1000 + n)
     edges = random_graph(rng, n, rng.randint(n, min(3 * n, n * n)))
     randoms = frozenset(v for v in range(n) if rng.random() < 0.4)
-    backends = (_BitsetBackend(n, edges, randoms), ObddBackend(n, edges, randoms))
+    backends = [ObddBackend(n, edges, randoms)]
+    for name in BITSET_REPRESENTATIONS:
+        with bitset_representation(name):
+            backends.append(_BitsetBackend(n, edges, randoms))
+        assert (backends[-1].in_masks is None) == (name == "tuples")
 
     def random_ids():
+        if rng.random() < 0.5:
+            return rng.choice(sized_ids(rng, n))
         density = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
         return [v for v in range(n) if rng.random() < density]
 
@@ -99,4 +111,4 @@ def test_ops_match_bitset_backend(n):
                 bk.card(a),
                 bk.min_vertex(a) if a_ids else None,
             ))
-        assert results[0] == results[1], (n, a_ids, b_ids, v)
+        assert results[0] == results[1] == results[2], (n, a_ids, b_ids, v)

@@ -8,6 +8,7 @@ from fairchk import SymbolicManager, UsageError, all_sccs, lock_step_search
 from fairchk.model import Model
 
 from conftest import mgr_for
+from helpers import BITSET_REPRESENTATIONS, bitset_representation, sized_ids
 
 
 def ids(mgr, vs):
@@ -187,6 +188,12 @@ class TestHandleHygiene:
         with pytest.raises(UsageError):
             mgr.from_ids([3])
 
+    def test_from_ids_takes_a_one_shot_iterator(self, f1, backend):
+        mgr = mgr_for(f1, backend)
+        assert ids(mgr, mgr.from_ids(v for v in (1, 2))) == [1, 2]
+        with pytest.raises(UsageError):
+            mgr.from_ids(iter([0, 3]))
+
 
 def _random_model(rng, n):
     edges = {(u, rng.randrange(n)) for u in range(n)}
@@ -201,11 +208,17 @@ def _random_model(rng, n):
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=64))
 def test_pre_matches_edge_enumeration(rng, n):
     model = _random_model(rng, n)
-    mgr = mgr_for(model)
-    target = [v for v in range(n) if rng.random() < 0.4]
-    got = ids(mgr, mgr.pre(mgr.from_ids(target)))
-    expected = sorted({u for u, v in model.edges if v in set(target)})
-    assert got == expected
+    targets = [[v for v in range(n) if rng.random() < 0.4], *sized_ids(rng, n)]
+    for name in BITSET_REPRESENTATIONS:
+        with bitset_representation(name):
+            mgr = mgr_for(model)
+        for target in targets:
+            inside = set(target)
+            got = (ids(mgr, mgr.pre(mgr.from_ids(target))),
+                   ids(mgr, mgr.post(mgr.from_ids(target))))
+            expected = (sorted({u for u, v in model.edges if v in inside}),
+                        sorted({v for u, v in model.edges if u in inside}))
+            assert got == expected, (name, target)
 
 
 @settings(max_examples=120, deadline=None)
@@ -227,10 +240,18 @@ def test_cpre_agrees_with_pre_formula(rng, n):
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=12))
 def test_backends_agree_on_call_sequences(rng, n):
     model = _random_model(rng, n)
-    managers = [mgr_for(model, "bitset"), mgr_for(model, "obdd")]
-    for _ in range(12):
-        zs = [v for v in range(n) if rng.random() < 0.4]
-        ss = [v for v in range(n) if rng.random() < 0.5]
+    managers = []
+    for name in BITSET_REPRESENTATIONS:
+        with bitset_representation(name):
+            managers.append(mgr_for(model, "bitset"))
+    managers.append(mgr_for(model, "obdd"))
+    draws = [
+        ([v for v in range(n) if rng.random() < 0.4],
+         [v for v in range(n) if rng.random() < 0.5])
+        for _ in range(12)
+    ]
+    draws += zip(sized_ids(rng, n), sized_ids(rng, n))
+    for zs, ss in draws:
         results = []
         for mgr in managers:
             z, s = mgr.from_ids(zs), mgr.from_ids(ss)
@@ -246,5 +267,6 @@ def test_backends_agree_on_call_sequences(rng, n):
                     mgr.cardinality(z),
                 )
             )
-        assert results[0] == results[1]
-    assert managers[0].snapshot_counters() == managers[1].snapshot_counters()
+        assert results[0] == results[1] == results[2]
+    counters = [mgr.snapshot_counters() for mgr in managers]
+    assert counters[0] == counters[1] == counters[2]
