@@ -99,7 +99,9 @@ def generate_objects(family, n=None, m=None, k=0, cycles=None, cycle_size=None,
         if cycles is None:
             if n is None:
                 raise UsageError("family needs cycles or n")
-            cycles = max(1, n // cycle_size)
+            if cycle_size > n:
+                raise UsageError(f"cycle-size {cycle_size} exceeds n={n}")
+            cycles = n // cycle_size
         if cycles < 1:
             raise UsageError("cycles must be positive")
         edges = []

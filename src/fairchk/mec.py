@@ -1,25 +1,23 @@
 """Maximal end-component decomposition of MDPs.
 
-Candidates (initially the SCCs of the underlying graph) are repeatedly
-cleaned of random vertices with outgoing edges together with their random
+Candidates (initially the SCCs of the underlying graph) are cleaned of
+random vertices with edges leaving them, together with their random
 attractor, then either accepted as end-components or split further.  The
 basic variant (loop: ``refine.refine_basic``) recomputes the full SCC
-decomposition after every cleanup.  The improved variant keeps its own
-loop, which tracks only the vertices that lost outgoing edges; while
-there are few, a single bottom SCC is peeled off with a lock-step search
-(forward searches only), which is accepted directly whenever it has an
-edge.
+decomposition after every cleanup.  The improved variant (loop:
+``refine.refine`` with ``mec=True``) tracks only the vertices that lost
+outgoing edges; while there are few, a single bottom SCC is peeled off
+with a lock-step search (forward searches only), which is accepted
+directly whenever it has an edge.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 
-from . import invariants
-from .model import Candidate, has_edge
+from .model import has_edge
 from .reach import random_attractor, random_escapes
-from .refine import refine_basic
+from .refine import refine, refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import mec_threshold
@@ -44,70 +42,35 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
     events.setdefault("rescc", 0)
     events.setdefault("lockstep", 0)
     thresh = mec_threshold(threshold, model.n, model.m)
-    empty = mgr.empty()
 
     initial = all_sccs(mgr, universe)
     if prep_sink is not None:
         prep_sink.append(mgr.snapshot_counters())
 
+    def attract(within, targets):
+        return random_attractor(mgr, within, targets, debug=debug)
+
     if not improved:
         accepted, rounds = refine_basic(
             mgr, model, (), initial,
             removal=lambda svs: random_escapes(mgr, svs, mgr.universe),
-            attract=lambda within, targets: random_attractor(
-                mgr, within, targets, debug=debug),
+            attract=attract,
             decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
         events["rescc"] += rounds
     else:
-        accepted = []
-
-        def accept(svs):
-            if debug:
-                invariants.check_end_component(mgr, model, svs)
-            accepted.append(svs)
-
-        pending = deque(Candidate(comp, empty, empty) for comp in initial)
-        while pending:
-            cand = pending.popleft()
-            if debug:
-                invariants.check_candidate(mgr, cand)
-            svs, lost_out = cand.vertices, cand.lost_out
-            escapes = random_escapes(mgr, svs, mgr.universe)
-            if not mgr.is_empty(escapes):
-                attr = random_attractor(mgr, svs, escapes, debug=debug)
-                svs = mgr.difference(svs, attr)
-                lost_out = mgr.intersect(mgr.union(lost_out, mgr.pre(attr)), svs)
-                if debug:
-                    invariants.check_no_random_escape(mgr, svs)
-            if not has_edge(mgr, svs):
-                continue
-            witnesses = mgr.cardinality(lost_out)
-            if witnesses == 0:
-                accept(svs)
-            elif witnesses >= thresh:
-                events["rescc"] += 1
-                parts = all_sccs(mgr, svs)
-                if len(parts) == 1:
-                    accept(svs)
-                else:
-                    pending.extend(Candidate(p, empty, empty) for p in parts)
-            else:
-                events["lockstep"] += 1
-                if debug:
-                    invariants.check_start_cover(mgr, model, svs, empty, lost_out)
-                comp, _, lost_out = lock_step_search(mgr, svs, empty, lost_out,
-                                                     debug=debug)
-                if has_edge(mgr, comp):
-                    accept(comp)
-                rest = mgr.difference(svs, comp)
-                if not mgr.is_empty(rest):
-                    lost_out = mgr.intersect(mgr.union(lost_out, mgr.pre(comp)), rest)
-                    pending.append(Candidate(rest, empty, lost_out))
-            if debug:
-                invariants.check_disjoint(mgr, [c.vertices for c in pending] + accepted)
+        accepted, found = refine(
+            mgr, model, (), initial, thresh,
+            attract=attract,
+            escapes=lambda part, whole: mgr.empty(),
+            kernels=(lambda mgr, svs, _: random_escapes(mgr, svs, mgr.universe),
+                     all_sccs, lock_step_search),
+            debug=debug, mec=True,
+        )
+        events["rescc"] += found["rescc"]
+        events["lockstep"] += found["lockstep"]
 
     with mgr.counters_paused():
         accepted.sort(key=mgr.min_vertex)

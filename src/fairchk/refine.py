@@ -3,15 +3,15 @@
 :func:`refine_basic` runs the three basic variants (graph fairness, MDP
 fairness, MEC decomposition): it removes what cannot stay in a candidate,
 with its attractor, and decomposes the rest from scratch.  :func:`refine`
-runs the improved graph and MDP fairness algorithms.  Each of its
-candidates carries the vertices that lost an incoming (`lost_in`) or an
-outgoing (`lost_out`) edge since a superset was last known to be strongly
-connected.  Per candidate, bad vertices are removed until none remain, the
-witnesses updated along the removal boundary; a candidate without an edge
-is dropped; one without witnesses is accepted; one with at least
-`threshold` witnesses is split into SCCs; anything in between is split by
-the lock-step search, which separates one top or bottom SCC, and both
-halves keep witnesses along the split.
+runs the three improved ones.  Each of its candidates carries the vertices
+that lost an incoming (`lost_in`) or an outgoing (`lost_out`) edge since a
+superset was last known to be strongly connected; MEC candidates carry
+`lost_out` only.  Per candidate, what the removal kernel finds is removed
+until nothing remains, the witnesses updated along the removal boundary; a
+candidate without an edge is dropped; one without witnesses is accepted;
+one with at least `threshold` witnesses is split into SCCs; anything in
+between is split by the lock-step search, which separates one top or
+bottom SCC, and both halves keep witnesses along the split.
 
 Graphs and MDPs differ only in what a removal takes along, given as
 operators:
@@ -68,17 +68,21 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
 
 
 def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
-           debug=False):
+           debug=False, *, mec=False):
     """Good components among the candidate sets `initial`, and the events.
 
-    `kernels` is ``(bad_vertices, all_sccs, lock_step_search)``, passed
-    from the caller's module bindings rather than imported here, because
-    tools that wrap them per calling module (``perfbench/tracing.py``)
-    patch those bindings.  Returns the accepted components in acceptance
-    order and the counts of bad-vertex rounds, SCC splits, lock-step
-    splits and acceptances.
+    `kernels` is ``(removal, all_sccs, lock_step_search)``, passed from
+    the caller's module bindings rather than imported here, because tools
+    that wrap them per calling module (``perfbench/tracing.py``) patch
+    those bindings.  The removal kernel gives what cannot stay in a
+    candidate.  Returns the accepted components in acceptance order and
+    the counts of removal rounds, SCC splits, lock-step splits and
+    acceptances.  With `mec`, the loop decomposes into MECs: only
+    `lost_out` counts, one removal round suffices (the random attractor of
+    the escapes leaves no random escape), and the lock-step component is
+    accepted whenever it has an edge.
     """
-    bad_vertices, all_sccs, lock_step_search = kernels
+    removal, all_sccs, lock_step_search = kernels
     empty = mgr.empty()
     pending = deque(Candidate(comp, empty, empty) for comp in initial)
     good = []
@@ -93,6 +97,8 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
     def boundary(rest, removed, lost_in=None, lost_out=None):
         # Witnesses of `rest` once `removed` left it; None stands for no
         # earlier witnesses, which saves the two unions.
+        if mec:
+            return empty, mgr.intersect(mgr.union(lost_out, mgr.pre(removed)), rest)
         if lost_in is None:
             return (mgr.intersect(mgr.post(removed), rest),
                     mgr.intersect(mgr.pre(removed), rest))
@@ -124,19 +130,19 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
             invariants.check_candidate(mgr, cand)
         svs, lost_in, lost_out = cand.vertices, cand.lost_in, cand.lost_out
 
-        bad = bad_vertices(mgr, svs, psets)
+        bad = removal(mgr, svs, psets)
         while not mgr.is_empty(bad):
             events["bad_rounds"] += 1
             removed = attract(svs, bad)
             svs = mgr.difference(svs, removed)
             lost_in, lost_out = boundary(svs, removed, lost_in, lost_out)
-            bad = bad_vertices(mgr, svs, psets)
+            bad = empty if mec else removal(mgr, svs, psets)
         if debug:
             invariants.check_no_random_escape(mgr, svs)
 
         if not has_edge(mgr, svs):
             continue
-        witnesses = mgr.cardinality(lost_in) + mgr.cardinality(lost_out)
+        witnesses = (0 if mec else mgr.cardinality(lost_in)) + mgr.cardinality(lost_out)
         if witnesses == 0:
             accept(svs)
         elif witnesses >= thresh:
@@ -158,7 +164,11 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
             comp, lost_in, lost_out = lock_step_search(
                 mgr, svs, lost_in, lost_out, debug=debug
             )
-            if comp == svs:
+            if mec:
+                if has_edge(mgr, comp):
+                    accept(comp)
+                push_rest(svs, comp, lost_in, lost_out)
+            elif comp == svs:
                 accept(svs)
             else:
                 split_off(svs, comp, lost_in, lost_out)

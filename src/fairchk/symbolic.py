@@ -316,6 +316,7 @@ class SymbolicManager:
     def __init__(self, n, edges, random_vertices, backend="bitset"):
         if n <= 0:
             raise UsageError("vertex count must be positive")
+        edges, random_vertices = tuple(edges), tuple(random_vertices)  # read once
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise UsageError(f"edge ({u}, {v}) out of range for n={n}")

@@ -97,12 +97,15 @@ class TestExitCodes:
         "argv",
         [
             ("streett-graph", "--family", "chain-of-cycles", "--cycle-size", "0"),
+            ("streett-graph", "--family", "chain-of-cycles", "--sizes", "8",
+             "--cycle-size", "100000000"),
             ("streett-mdp", "--family", "mdp-random", "--sizes", "16",
              "--random-fraction", "2"),
             ("streett-graph", "--family", "random", "--edge-factor", "nan"),
             ("streett-graph", "--family", "random", "--k", "-1"),
         ],
-        ids=["cycle-size", "random-fraction", "edge-factor", "k"],
+        ids=["cycle-size", "cycle-size-above-n", "random-fraction", "edge-factor",
+             "k"],
     )
     def test_bad_sweep_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

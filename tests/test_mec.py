@@ -3,7 +3,7 @@
 import pytest
 
 from fairchk import SymbolicManager, mec_basic, mec_decomposition, mec_improved
-from fairchk import parse_model
+from fairchk import generate_objects, parse_model
 from fairchk.oracle import explicit_mec
 
 from conftest import mgr_for
@@ -59,12 +59,26 @@ class TestEquivalence:
             assert explicit_mec(model) == brute_maximal_ecs(model), seed
 
     def test_debug_invariants_hold(self):
-        for seed in range(120):
-            model, _ = mdp_instance(seed)
-            mgr = mgr_for(model)
-            mec_basic(mgr, model, debug=True)
-            mgr = mgr_for(model)
-            mec_improved(mgr, model, debug=True)
+        # Threshold 1 forces the SCC split and 10**9 the lock-step split of
+        # the improved loop, each under the candidate and cover checks.  The
+        # sparse generated MDPs split far more often than the small dense
+        # criteria instances.
+        models = [mdp_instance(seed)[0] for seed in range(120)]
+        models += [
+            generate_objects("mdp-random", n=32, m=48, random_fraction=0.2,
+                             seed=seed)[0]
+            for seed in range(20)
+        ]
+        splits = {"rescc": 0, "lockstep": 0}
+        for model in models:
+            mec_basic(mgr_for(model), model, debug=True)
+            for threshold, event in (("auto", None), (1, "rescc"),
+                                     (FORCE_LOCKSTEP, "lockstep")):
+                report = mec_improved(mgr_for(model), model, threshold=threshold,
+                                      debug=True)
+                if event:
+                    splits[event] += report.events[event]
+        assert min(splits.values()) >= 5, splits
 
     def test_universe_restriction(self):
         for seed in range(100):

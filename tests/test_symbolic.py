@@ -194,6 +194,15 @@ class TestHandleHygiene:
         with pytest.raises(UsageError):
             mgr.from_ids(iter([0, 3]))
 
+    def test_constructor_takes_one_shot_iterators(self, backend):
+        edges = [(0, 1), (1, 2), (2, 0)]
+        for args in ((edges, (v for v in [1])), (iter(edges), [1])):
+            mgr = SymbolicManager(3, *args, backend=backend)
+            assert ids(mgr, mgr.v_random) == [1]
+            assert ids(mgr, mgr.pre(mgr.from_ids([2]))) == [1]
+        with pytest.raises(UsageError):
+            SymbolicManager(3, iter(edges), (v for v in [3]), backend=backend)
+
 
 def _random_model(rng, n):
     edges = {(u, rng.randrange(n)) for u in range(n)}
