@@ -10,6 +10,7 @@ step-count reports.  Exit codes: 0 ok, 1 validation or usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -19,6 +20,7 @@ from .errors import FairchkError, ModelError, UsageError
 from .generate import FAMILIES, generate_objects
 from .model import StreettPairs, parse_model, parse_pairs
 from .runner import COMMANDS, oracle_matches, run_command
+from .thresholds import parse_threshold
 
 __all__ = ["main"]
 
@@ -42,8 +44,8 @@ def _build_parser():
         p.add_argument("--model", help="model file")
         p.add_argument("--pairs", help="pairs file")
         p.add_argument("--algorithm", default="improved",
-                       choices=["basic", "improved", "both"])
-        p.add_argument("--threshold", default="auto",
+                       choices=["basic", "improved"])
+        p.add_argument("--threshold", default="auto", type=parse_threshold,
                        help="auto, practical, or a positive integer")
         p.add_argument("--backend", default="bitset",
                        choices=["bitset", "obdd"])
@@ -71,18 +73,6 @@ def _build_parser():
     return parser
 
 
-def _parse_threshold(text):
-    if text in ("auto", "practical"):
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(f"bad threshold {text!r}") from None
-    if value < 1:
-        raise UsageError("threshold must be positive")
-    return value
-
-
 def _parse_size(text):
     try:
         value = int(text)
@@ -96,8 +86,6 @@ def _parse_size(text):
 def _read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise ModelError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -135,10 +123,6 @@ def _load_instances(args):
     yield Path(args.model).stem, model, pairs
 
 
-class _IoError(FairchkError):
-    pass
-
-
 class _OracleMismatch(FairchkError):
     pass
 
@@ -161,79 +145,65 @@ def _print_report(instance, report):
     print(f"time: {report.wall_time:.6f}s")
 
 
+def _row(instance, model, pairs, reports):
+    """The CSV row and the sweep line of one instance.  With one variant
+    the columns carry no prefix and the row names the algorithm."""
+    row = {"instance": instance, "n": model.n, "m": model.m, "k": pairs.k}
+    compare = len(reports) > 1
+    named = {(f"{variant}_" if compare else ""): r for variant, r in reports.items()}
+    if not compare:
+        row["algorithm"] = named[""].algorithm
+    for column, value in (("steps", lambda r: r.main_steps),
+                          ("time", lambda r: f"{r.wall_time:.6f}"),
+                          ("prep_steps", lambda r: r.preprocessing.headline)):
+        row.update((prefix + column, value(r)) for prefix, r in named.items())
+    steps = " ".join(f"{prefix}steps={r.main_steps}" for prefix, r in named.items())
+    return row, f"{instance}: {steps}"
+
+
+def _solve(args, instance, model, pairs, variant):
+    """One run of `variant`, printed for a single model and checked
+    against the oracle if asked."""
+    report = run_command(
+        args.command, model, pairs,
+        algorithm=variant,
+        backend=args.backend,
+        threshold=args.threshold,
+        debug=args.debug_invariants,
+    )
+    if not args.family:
+        _print_report(instance, report)
+    if args.check_oracle:
+        matched = oracle_matches(args.command, model, pairs, report)
+        if not args.family:
+            print(f"oracle-match: {'true' if matched else 'false'}")
+        if not matched:
+            raise _OracleMismatch(
+                f"oracle mismatch: instance={instance} "
+                f"algorithm={report.algorithm} n={model.n} "
+                f"m={model.m} k={pairs.k}"
+            )
+    return report
+
+
 def _run(args):
-    threshold = _parse_threshold(args.threshold)
-    compare = args.compare or args.algorithm == "both"
-    algorithms = ["basic", "improved"] if compare else [args.algorithm]
+    variants = ["basic", "improved"] if args.compare else [args.algorithm]
     rows = []
-    for instance, model, pairs in _load_instances(args):
-        reports = {}
-        for algorithm in algorithms:
-            report = run_command(
-                args.command, model, pairs,
-                algorithm=algorithm,
-                backend=args.backend,
-                threshold=threshold,
-                debug=args.debug_invariants,
-            )
-            reports[algorithm] = report
-            if not args.family:
-                _print_report(instance, report)
-            if args.check_oracle:
-                matched = oracle_matches(args.command, model, pairs, report)
-                if not args.family:
-                    print(f"oracle-match: {'true' if matched else 'false'}")
-                if not matched:
-                    raise _OracleMismatch(
-                        f"oracle mismatch: instance={instance} "
-                        f"algorithm={report.algorithm} n={model.n} "
-                        f"m={model.m} k={pairs.k}"
-                    )
-        if compare:
-            basic, improved = reports["basic"], reports["improved"]
-            rows.append(
-                {
-                    "instance": instance,
-                    "n": model.n,
-                    "m": model.m,
-                    "k": pairs.k,
-                    "basic_steps": basic.main_steps,
-                    "improved_steps": improved.main_steps,
-                    "basic_time": f"{basic.wall_time:.6f}",
-                    "improved_time": f"{improved.wall_time:.6f}",
-                    "basic_prep_steps": basic.preprocessing.headline,
-                    "improved_prep_steps": improved.preprocessing.headline,
-                }
-            )
+    # Opened before the first instance runs, so a bad path fails at once.
+    with (open(args.csv, "w", newline="") if args.csv
+          else contextlib.nullcontext()) as handle:
+        for instance, model, pairs in _load_instances(args):
+            reports = {variant: _solve(args, instance, model, pairs, variant)
+                       for variant in variants}
+            row, line = _row(instance, model, pairs, reports)
+            rows.append(row)
             if args.family:
-                print(
-                    f"{instance}: basic_steps={basic.main_steps} "
-                    f"improved_steps={improved.main_steps}"
-                )
-        else:
-            report = reports[algorithms[0]]
-            rows.append(
-                {
-                    "instance": instance,
-                    "n": model.n,
-                    "m": model.m,
-                    "k": pairs.k,
-                    "algorithm": report.algorithm,
-                    "steps": report.main_steps,
-                    "time": f"{report.wall_time:.6f}",
-                    "prep_steps": report.preprocessing.headline,
-                }
-            )
-            if args.family:
-                print(f"{instance}: steps={report.main_steps}")
+                print(line)
+        if handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     if args.csv:
-        try:
-            with open(args.csv, "w", newline="") as handle:
-                writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
-        except OSError as exc:
-            raise _IoError(str(exc)) from exc
         print(f"csv: {args.csv} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -246,7 +216,7 @@ def main(argv=None) -> int:
     except _OracleMismatch as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ORACLE
-    except _IoError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ModelError, UsageError) as exc:

@@ -1,9 +1,10 @@
 """Maximal end-component decomposition of MDPs.
 
-Candidates (initially the SCCs of the underlying graph) are cleaned of
-random vertices with edges leaving them, together with their random
-attractor, then either accepted as end-components or split further.  The
-basic variant (loop: ``refine.refine_basic``) recomputes the full SCC
+Candidates start as the SCCs of the underlying graph, which the caller
+splits off first as the preprocessing phase.  They are cleaned of random
+vertices with edges leaving them, together with their random attractor,
+then either accepted as end-components or split further.  The basic
+variant (loop: ``refine.refine_basic``) recomputes the full SCC
 decomposition after every cleanup.  The improved variant (loop:
 ``refine.refine`` with ``mec=True``) tracks only the vertices that lost
 outgoing edges; while there are few, a single bottom SCC is peeled off
@@ -25,27 +26,16 @@ from .thresholds import mec_threshold
 __all__ = ["mec_basic", "mec_improved", "mec_decomposition"]
 
 
-def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto",
-                      debug=False, events=None, prep_sink=None):
-    """MEC decomposition within `universe`, as a list of vertex sets.
+def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
+                      debug=False):
+    """The MECs among the SCCs `initial`, sorted by least vertex, and the
+    counts of SCC splits (``rescc``) and lock-step splits.
 
-    This is the core used by the fairness algorithms for MDPs; the
-    RunReport wrappers below add timing and counter bookkeeping.  Graphs
-    are handled as MDPs without random vertices: their MECs are the SCCs
-    that contain at least one edge.  When `prep_sink` is a list, a counter
-    snapshot taken right after the initial SCC split is appended to it.
+    `initial` is normally ``all_sccs`` of the universe or of a subset;
+    the RunReport wrappers below add that split, timing and counters.
+    Graphs are handled as MDPs without random vertices: their MECs are the
+    SCCs that contain at least one edge.
     """
-    if universe is None:
-        universe = mgr.universe
-    if events is None:
-        events = {}
-    events.setdefault("rescc", 0)
-    events.setdefault("lockstep", 0)
-    thresh = mec_threshold(threshold, model.n, model.m)
-
-    initial = all_sccs(mgr, universe)
-    if prep_sink is not None:
-        prep_sink.append(mgr.snapshot_counters())
 
     def attract(within, targets):
         return random_attractor(mgr, within, targets, debug=debug)
@@ -59,34 +49,33 @@ def mec_decomposition(mgr, model, universe=None, improved=True, threshold="auto"
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
-        events["rescc"] += rounds
+        events = {"rescc": rounds, "lockstep": 0}
     else:
         accepted, found = refine(
-            mgr, model, (), initial, thresh,
+            mgr, model, (), initial, mec_threshold(threshold, model.n, model.m),
             attract=attract,
             escapes=lambda part, whole: mgr.empty(),
             kernels=(lambda mgr, svs, _: random_escapes(mgr, svs, mgr.universe),
                      all_sccs, lock_step_search),
             debug=debug, mec=True,
         )
-        events["rescc"] += found["rescc"]
-        events["lockstep"] += found["lockstep"]
+        events = {"rescc": found["rescc"], "lockstep": found["lockstep"]}
 
     with mgr.counters_paused():
         accepted.sort(key=mgr.min_vertex)
-    return accepted
+    return accepted, events
 
 
 def _report(mgr, model, name, improved, threshold, debug):
     start = time.perf_counter()
-    events = {}
-    prep_sink = []
-    mecs = mec_decomposition(mgr, model, improved=improved, threshold=threshold,
-                             debug=debug, events=events, prep_sink=prep_sink)
+    initial = all_sccs(mgr, mgr.universe)
+    prep = mgr.snapshot_counters()
+    mecs, events = mec_decomposition(mgr, model, initial, improved=improved,
+                                     threshold=threshold, debug=debug)
     return RunReport(
         algorithm=name,
         counters=mgr.snapshot_counters(),
-        preprocessing=prep_sink[0],
+        preprocessing=prep,
         wall_time=time.perf_counter() - start,
         components=[mgr.to_ids(c) for c in mecs],
         events=events,

@@ -223,8 +223,7 @@ def parse_pairs(text: str, n: int) -> StreettPairs:
         raise ModelError(f"bad pair count {head[1]!r}", lineno) from None
     if k < 0:
         raise ModelError("pair count must be non-negative", lineno)
-    lefts = [set() for _ in range(k)]
-    rights = [set() for _ in range(k)]
+    lefts, rights = {}, {}  # pair index -> vertex ids, for the pairs the lines name
     for lineno, tok in it:
         if tok[0] not in ("L", "U"):
             raise ModelError(f"unknown directive {tok[0]!r}", lineno)
@@ -240,9 +239,11 @@ def parse_pairs(text: str, n: int) -> StreettPairs:
         for v in vs:
             if not 0 <= v < n:
                 raise ModelError(f"pair vertex {v} out of range", lineno)
-        (lefts if tok[0] == "L" else rights)[i - 1].update(vs)
+        (lefts if tok[0] == "L" else rights).setdefault(i - 1, []).extend(vs)
+    empty = (frozenset(), frozenset())
     pairs = tuple(
-        (frozenset(left), frozenset(right)) for left, right in zip(lefts, rights)
+        (frozenset(lefts.get(i, ())), frozenset(rights.get(i, ())))
+        if i in lefts or i in rights else empty for i in range(k)
     )
     return StreettPairs(k, pairs)
 

@@ -1,13 +1,15 @@
 """Almost-sure winning sets of MDPs with strong-fairness objectives.
 
-Candidates for good end-components start as the MECs of the MDP.  The
-basic loop (``refine.refine_basic``) strips the random attractor of the
-bad vertices and recomputes the MEC decomposition of the rest.  The
-improved loop (``refine.refine``) keeps candidates merely free of
-escaping random edges, removing the attractor of whatever gets removed,
-so each step gets away with an SCC or lock-step split instead of a full
-MEC recomputation.  The result is the set of vertices that reach the
-union of the good end-components with probability one.
+Candidates for good end-components start as the MECs of the MDP, which
+``mec_decomposition`` refines from the SCCs; that SCC split is the
+preprocessing phase, as for graphs.  The basic loop
+(``refine.refine_basic``) strips the random attractor of the bad
+vertices and recomputes the MEC decomposition of the rest.  The improved
+loop (``refine.refine``) keeps candidates merely free of escaping random
+edges, removing the attractor of whatever gets removed, so each step gets
+away with an SCC or lock-step split instead of a full MEC recomputation.
+The result is the set of vertices that reach the union of the good
+end-components with probability one.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
     _require_mdp(model)
     start = time.perf_counter()
     psets = pair_sets(mgr, pairs)
-    prep_sink = []
-    mecs = mec_decomposition(mgr, model, prep_sink=prep_sink, debug=debug)
+    initial = all_sccs(mgr, mgr.universe)
+    prep = mgr.snapshot_counters()
+    mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
     # MECs have edges, so every candidate without bad vertices is accepted.
     good, rounds = refine_basic(
         mgr, model, psets, mecs,
@@ -45,7 +48,7 @@ def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
         attract=lambda within, targets: random_attractor(
             mgr, within, targets, debug=debug),
         decompose=lambda rest: [] if mgr.is_empty(rest) else mec_decomposition(
-            mgr, model, universe=rest, debug=debug),
+            mgr, model, all_sccs(mgr, rest), debug=debug)[0],
         accepts=lambda svs: True,
         debug=debug,
     )
@@ -53,7 +56,7 @@ def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
     return RunReport(
         algorithm="streett-mdp-basic",
         counters=mgr.snapshot_counters(),
-        preprocessing=prep_sink[0],
+        preprocessing=prep,
         wall_time=time.perf_counter() - start,
         winning=mgr.to_ids(win),
         events={"remec": rounds, "accepted": len(good), "bad_rounds": rounds},
@@ -75,8 +78,9 @@ def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> Ru
     start = time.perf_counter()
     thresh = streett_threshold(threshold, model.n, model.m)
     psets = pair_sets(mgr, pairs)
-    prep_sink = []
-    mecs = mec_decomposition(mgr, model, prep_sink=prep_sink, debug=debug)
+    initial = all_sccs(mgr, mgr.universe)
+    prep = mgr.snapshot_counters()
+    mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
     good, events = refine(
         mgr, model, psets, mecs, thresh,
         attract=lambda within, targets: random_attractor(
@@ -89,7 +93,7 @@ def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> Ru
     return RunReport(
         algorithm="streett-mdp-improved",
         counters=mgr.snapshot_counters(),
-        preprocessing=prep_sink[0],
+        preprocessing=prep,
         wall_time=time.perf_counter() - start,
         winning=mgr.to_ids(win),
         events=events,

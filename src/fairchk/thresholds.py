@@ -6,7 +6,7 @@ import math
 
 from .errors import UsageError
 
-__all__ = ["streett_threshold", "mec_threshold"]
+__all__ = ["streett_threshold", "mec_threshold", "parse_threshold"]
 
 
 def _resolve(value, n, auto):
@@ -21,6 +21,16 @@ def _resolve(value, n, auto):
     if value == "practical":
         return max(1, math.ceil(2 * math.log2(max(n, 2))))
     raise UsageError(f"bad threshold {value!r}")
+
+
+def parse_threshold(text: str):
+    """`text` as a threshold value, checked as the resolvers check it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    _resolve(value, 2, 1)
+    return value
 
 
 def streett_threshold(value, n: int, m: int) -> int:

@@ -43,6 +43,9 @@ SCC_CONSTANT = 6  # frozen regression bound: steps <= SCC_CONSTANT * n
 # frozen regression bound: improved MDP steps <= RING_CONSTANT * n on the
 # ring chain with k = n/8 (measured 3.82 n for n = 64..512)
 RING_CONSTANT = 4
+# improved MEC thresholds beside auto: every witness forces an SCC split,
+# or every split is a lock-step split
+FORCED_MEC_THRESHOLDS = (1, 10**9)
 
 
 def _ok(criterion, message, started):
@@ -87,14 +90,20 @@ def test_criterion_1_graph_oracle_equivalence():
 
 def test_criterion_2_mec_oracle_equivalence():
     started = time.time()
+    scc_splits = 0
     for seed in range(TRIALS):
         model, _ = mdp_instance(seed)
         expected = explicit_mec(model)
         basic, improved = _mec_reports(model)
         assert basic.components == expected, f"seed {seed}"
         assert improved.components == expected, f"seed {seed}"
-    _ok(2, f"end-component decompositions equal the oracle on {TRIALS} instances",
-        started)
+        for threshold in FORCED_MEC_THRESHOLDS:
+            forced = mec_improved(SymbolicManager.from_model(model), model, threshold)
+            assert forced.components == expected, f"seed {seed} threshold {threshold}"
+            scc_splits += forced.events["rescc"]
+    assert scc_splits > 0
+    _ok(2, f"end-component decompositions equal the oracle on {TRIALS} instances "
+        f"({scc_splits} improved SCC splits at forced thresholds)", started)
 
 
 def test_criterion_3_mdp_oracle_equivalence():

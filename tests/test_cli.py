@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from fairchk import UsageError
 from fairchk.cli import main
+from fairchk.thresholds import parse_threshold
 
 from conftest import F2_TEXT, F3_TEXT
 
@@ -65,6 +67,19 @@ class TestSingleModel:
         assert code == 0
 
 
+@pytest.mark.parametrize("text, value", [
+    ("auto", "auto"), ("practical", "practical"), ("1", 1), ("64", 64),
+])
+def test_threshold_text(text, value):
+    assert parse_threshold(text) == value
+
+
+@pytest.mark.parametrize("text", ["zero", "0", "-3", "2.5", "Auto", ""])
+def test_bad_threshold_text(text):
+    with pytest.raises(UsageError):
+        parse_threshold(text)
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path, capsys):
         model = tmp_path / "bad.txt"
@@ -77,6 +92,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "scc", "--model", "/no/such/file")
         assert code == 3
 
+    def test_unwritable_csv_fails_before_any_instance(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "streett-graph", "--family", "random", "--sizes", "3",
+            "--compare", "--csv", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 3
+        assert out == ""
+        assert "i/o error" in err
+
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(capsys, "scc")
         assert code == 1
@@ -84,6 +108,13 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "mec", "--model", "x", "--threshold", "zero")
         assert code == 1
+
+    def test_compare_has_one_spelling(self, capsys):
+        code, _, err = run_cli(
+            capsys, "mec", "--family", "random", "--algorithm", "both",
+        )
+        assert code == 1
+        assert "invalid choice" in err
 
     def test_bad_sizes(self, capsys):
         for sizes in ("64,abc", "64,0", "-8"):

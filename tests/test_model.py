@@ -57,6 +57,20 @@ class TestParseModel:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_pairs_memory_bounded_by_named_pairs(self):
+        # A large declared pair count allocates no sets for the pairs
+        # that no line names; they share one empty pair.
+        tracemalloc.start()
+        try:
+            pairs = parse_pairs("pairs 1000000\nU 7 3\n", 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
+        assert pairs.k == len(pairs.pairs) == 1_000_000
+        assert pairs.pairs[6] == (frozenset(), frozenset({3}))
+        assert pairs.pairs[0] == pairs.pairs[999_999] == (frozenset(), frozenset())
+
     def test_bitset_manager_memory_bounded_by_edges(self):
         # Mask tables would hold 38.7 MB here: each mask reaches its
         # highest neighbour id.
