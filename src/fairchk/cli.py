@@ -127,12 +127,10 @@ class _OracleMismatch(FairchkError):
     pass
 
 
-def _print_report(instance, report):
+def _print_report(command, instance, report):
     print(f"instance: {instance}")
     print(f"algorithm: {report.algorithm}")
-    label = "mecs" if report.components is not None else "winning-set"
-    if report.algorithm.startswith("scc"):
-        label = "sccs"
+    label = {"scc": "sccs", "mec": "mecs"}.get(command, "winning-set")
     print(f"{label}: {report.result_text()}")
     c = report.counters
     main = report.main_counters
@@ -172,7 +170,7 @@ def _solve(args, instance, model, pairs, variant):
         debug=args.debug_invariants,
     )
     if not args.family:
-        _print_report(instance, report)
+        _print_report(args.command, instance, report)
     if args.check_oracle:
         matched = oracle_matches(args.command, model, pairs, report)
         if not args.family:

@@ -61,8 +61,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
         )
         events = {"rescc": found["rescc"], "lockstep": found["lockstep"]}
 
-    with mgr.counters_paused():
-        accepted.sort(key=mgr.min_vertex)
+    accepted.sort(key=mgr.min_vertex)
     return accepted, events
 
 

@@ -25,6 +25,8 @@ def run_command(command, model, pairs=None, algorithm="improved",
     For the ``scc`` command ``basic`` selects the plain forward/backward
     decomposition and ``improved`` the linear-step skeleton variant.
     """
+    if algorithm not in ("basic", "improved"):
+        raise UsageError(f"unknown algorithm {algorithm!r}")
     mgr = SymbolicManager.from_model(model, backend=backend)
     if command == "scc":
         variant = "fwbw" if algorithm == "basic" else "skeleton"

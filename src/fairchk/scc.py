@@ -22,10 +22,10 @@ of every solve, so their inner loops run on raw backend handles rather
 than through the manager.  Each checks the ownership of its incoming
 handles at entry, counts its operations in local tallies, and charges
 them with ``mgr._charge`` (once per call, or once per lock-step round):
-exactly the counts the same sequence of manager calls would make, and
-nothing while counting is paused.  Results are wrapped as `VertexSet` on
-the way out.  Backend methods are looked up at kernel entry, so patches
-on the backend classes take effect.
+exactly the counts the same sequence of manager calls would make, which a
+paused block (``mgr.counters_paused``) puts back when it ends.  Results
+are wrapped as `VertexSet` on the way out.  Backend methods are looked
+up at kernel entry, so patches on the backend classes take effect.
 """
 
 from __future__ import annotations
@@ -133,6 +133,16 @@ def _sccs_skeleton(mgr, svs):
 
 
 def _sccs_fwbw(mgr, svs):
+    def closure(step, pivot, vset):
+        """`pivot` and what `step` reaches from it inside `vset`."""
+        acc = front = pivot
+        while True:
+            new = mgr.difference(mgr.intersect(step(front), vset), acc)
+            if mgr.is_empty(new):
+                return acc
+            acc = mgr.union(acc, new)
+            front = new
+
     out = []
     work = [svs]
     while work:
@@ -140,22 +150,8 @@ def _sccs_fwbw(mgr, svs):
         if mgr.is_empty(vset):
             continue
         pivot = mgr.singleton(mgr.pick(vset))
-        fw = pivot
-        front = pivot
-        while True:
-            new = mgr.difference(mgr.intersect(mgr.post(front), vset), fw)
-            if mgr.is_empty(new):
-                break
-            fw = mgr.union(fw, new)
-            front = new
-        bw = pivot
-        front = pivot
-        while True:
-            new = mgr.difference(mgr.intersect(mgr.pre(front), vset), bw)
-            if mgr.is_empty(new):
-                break
-            bw = mgr.union(bw, new)
-            front = new
+        fw = closure(mgr.post, pivot, vset)
+        bw = closure(mgr.pre, pivot, vset)
         comp = mgr.intersect(fw, bw)
         out.append(comp)
         work.append(mgr.difference(fw, comp))
@@ -178,7 +174,9 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     :func:`fairchk.invariants.check_start_cover`); with `debug` the
     result is checked to be a top or bottom SCC.  `trace`, when given a
     list, receives one record per round with the live search counts and
-    the one-step operation deltas of the round.
+    the one-step operations of the round.  These are the round's counts
+    also inside ``mgr.counters_paused``, where the counters move until
+    the block ends.
     """
     s = mgr._h(svs)
     alive = [mgr._h(lost_in), mgr._h(lost_out)]
@@ -198,9 +196,6 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
 
     while True:
         rounds = [to_ids(a) for a in alive]
-        if trace is not None:
-            record = {"live_in": len(rounds[0]), "live_out": len(rounds[1])}
-            trace.append(record)
 
         # Per search: one step, three set operations (intersect, difference,
         # the collision intersect) and one cardinality; one set operation
@@ -243,10 +238,8 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
             cardinality=n_pre + n_post,
         )
         if trace is not None:
-            # The deltas of the counters, which stand still while paused.
-            paused = mgr._paused
-            record["pre_ops"] = 0 if paused else n_pre
-            record["post_ops"] = 0 if paused else n_post
+            trace.append({"live_in": len(rounds[0]), "live_out": len(rounds[1]),
+                          "pre_ops": n_pre, "post_ops": n_post})
         if found is not None:
             comp = VertexSet(mgr, found)
             if debug:

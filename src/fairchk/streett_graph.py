@@ -26,35 +26,47 @@ from .thresholds import streett_threshold
 __all__ = ["streett_graph_basic", "streett_graph_improved"]
 
 
-def _require_graph(model):
+def _report(mgr, model, pairs, improved, threshold, debug):
     if model.kind != "graph":
         raise UsageError("this algorithm expects a graph model")
-
-
-def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
-    """Winning set via repeated bad-vertex removal and full SCC splits."""
-    _require_graph(model)
     start = time.perf_counter()
+    thresh = streett_threshold(threshold, model.n, model.m)
     psets = pair_sets(mgr, pairs)
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
-    good, rounds = refine_basic(
-        mgr, model, psets, initial,
-        removal=lambda svs: bad_vertices(mgr, svs, psets),
-        attract=lambda within, targets: targets,
-        decompose=lambda rest: all_sccs(mgr, rest),
-        accepts=lambda svs: has_edge(mgr, svs),
-        debug=debug,
-    )
+    if improved:
+        empty = mgr.empty()
+        good, events = refine(
+            mgr, model, psets, initial, thresh,
+            attract=lambda within, targets: targets,
+            escapes=lambda part, whole: empty,
+            kernels=(bad_vertices, all_sccs, lock_step_search),
+            debug=debug,
+        )
+    else:
+        good, rounds = refine_basic(
+            mgr, model, psets, initial,
+            removal=lambda svs: bad_vertices(mgr, svs, psets),
+            attract=lambda within, targets: targets,
+            decompose=lambda rest: all_sccs(mgr, rest),
+            accepts=lambda svs: has_edge(mgr, svs),
+            debug=debug,
+        )
+        events = {"rescc": rounds, "accepted": len(good), "bad_rounds": rounds}
     win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
     return RunReport(
-        algorithm="streett-graph-basic",
+        algorithm="streett-graph-improved" if improved else "streett-graph-basic",
         counters=mgr.snapshot_counters(),
         preprocessing=prep,
         wall_time=time.perf_counter() - start,
         winning=mgr.to_ids(win),
-        events={"rescc": rounds, "accepted": len(good), "bad_rounds": rounds},
+        events=events,
     )
+
+
+def streett_graph_basic(mgr, model, pairs, debug=False) -> RunReport:
+    """Winning set via repeated bad-vertex removal and full SCC splits."""
+    return _report(mgr, model, pairs, False, "auto", debug)
 
 
 def streett_graph_improved(mgr, model, pairs, threshold="auto", debug=False) -> RunReport:
@@ -66,26 +78,4 @@ def streett_graph_improved(mgr, model, pairs, threshold="auto", debug=False) -> 
     between is split by the lock-step search, with witness sets updated
     along the boundary of the split.  A removal takes nothing along.
     """
-    _require_graph(model)
-    start = time.perf_counter()
-    thresh = streett_threshold(threshold, model.n, model.m)
-    psets = pair_sets(mgr, pairs)
-    initial = all_sccs(mgr, mgr.universe)
-    prep = mgr.snapshot_counters()
-    empty = mgr.empty()
-    good, events = refine(
-        mgr, model, psets, initial, thresh,
-        attract=lambda within, targets: targets,
-        escapes=lambda part, whole: empty,
-        kernels=(bad_vertices, all_sccs, lock_step_search),
-        debug=debug,
-    )
-    win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
-    return RunReport(
-        algorithm="streett-graph-improved",
-        counters=mgr.snapshot_counters(),
-        preprocessing=prep,
-        wall_time=time.perf_counter() - start,
-        winning=mgr.to_ids(win),
-        events=events,
-    )
+    return _report(mgr, model, pairs, True, threshold, debug)

@@ -28,39 +28,53 @@ from .thresholds import streett_threshold
 __all__ = ["streett_mdp_basic", "streett_mdp_improved"]
 
 
-def _require_mdp(model):
+def _report(mgr, model, pairs, improved, threshold, debug):
     if model.kind != "mdp":
         raise UsageError("this algorithm expects an mdp model")
-
-
-def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
-    """Almost-sure winning set via repeated MEC recomputation."""
-    _require_mdp(model)
     start = time.perf_counter()
+    thresh = streett_threshold(threshold, model.n, model.m)
     psets = pair_sets(mgr, pairs)
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
-    # MECs have edges, so every candidate without bad vertices is accepted.
-    good, rounds = refine_basic(
-        mgr, model, psets, mecs,
-        removal=lambda svs: bad_vertices(mgr, svs, psets),
-        attract=lambda within, targets: random_attractor(
-            mgr, within, targets, debug=debug),
-        decompose=lambda rest: [] if mgr.is_empty(rest) else mec_decomposition(
-            mgr, model, all_sccs(mgr, rest), debug=debug)[0],
-        accepts=lambda svs: True,
-        debug=debug,
-    )
+
+    def attract(within, targets):
+        return random_attractor(mgr, within, targets, debug=debug)
+
+    if improved:
+        good, events = refine(
+            mgr, model, psets, mecs, thresh,
+            attract=attract,
+            escapes=lambda part, whole: random_escapes(mgr, part, whole),
+            kernels=(bad_vertices, all_sccs, lock_step_search),
+            debug=debug,
+        )
+    else:
+        # MECs have edges, so every candidate without bad vertices is accepted.
+        good, rounds = refine_basic(
+            mgr, model, psets, mecs,
+            removal=lambda svs: bad_vertices(mgr, svs, psets),
+            attract=attract,
+            decompose=lambda rest: [] if mgr.is_empty(rest) else mec_decomposition(
+                mgr, model, all_sccs(mgr, rest), debug=debug)[0],
+            accepts=lambda svs: True,
+            debug=debug,
+        )
+        events = {"remec": rounds, "accepted": len(good), "bad_rounds": rounds}
     win = almost_sure_reach(mgr, model, union_all(mgr, good))
     return RunReport(
-        algorithm="streett-mdp-basic",
+        algorithm="streett-mdp-improved" if improved else "streett-mdp-basic",
         counters=mgr.snapshot_counters(),
         preprocessing=prep,
         wall_time=time.perf_counter() - start,
         winning=mgr.to_ids(win),
-        events={"remec": rounds, "accepted": len(good), "bad_rounds": rounds},
+        events=events,
     )
+
+
+def streett_mdp_basic(mgr, model, pairs, debug=False) -> RunReport:
+    """Almost-sure winning set via repeated MEC recomputation."""
+    return _report(mgr, model, pairs, False, "auto", debug)
 
 
 def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> RunReport:
@@ -74,27 +88,4 @@ def streett_mdp_improved(mgr, model, pairs, threshold="auto", debug=False) -> Ru
     lock-step split separates one SCC, and both halves are stripped of
     the attractors induced by the separation.
     """
-    _require_mdp(model)
-    start = time.perf_counter()
-    thresh = streett_threshold(threshold, model.n, model.m)
-    psets = pair_sets(mgr, pairs)
-    initial = all_sccs(mgr, mgr.universe)
-    prep = mgr.snapshot_counters()
-    mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
-    good, events = refine(
-        mgr, model, psets, mecs, thresh,
-        attract=lambda within, targets: random_attractor(
-            mgr, within, targets, debug=debug),
-        escapes=lambda part, whole: random_escapes(mgr, part, whole),
-        kernels=(bad_vertices, all_sccs, lock_step_search),
-        debug=debug,
-    )
-    win = almost_sure_reach(mgr, model, union_all(mgr, good))
-    return RunReport(
-        algorithm="streett-mdp-improved",
-        counters=mgr.snapshot_counters(),
-        preprocessing=prep,
-        wall_time=time.perf_counter() - start,
-        winning=mgr.to_ids(win),
-        events=events,
-    )
+    return _report(mgr, model, pairs, True, threshold, debug)

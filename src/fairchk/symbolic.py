@@ -5,7 +5,10 @@ Algorithm modules access the transition structure through
 (predecessor, successor, controllable predecessor for random players),
 set algebra, cardinality and vertex picking.  Every call increments a
 counter in :class:`StepCounters`; the counters are the cost model in which
-all step bounds of the algorithms are stated and measured.
+all step bounds of the algorithms are stated and measured.  Work that is
+not part of that cost, such as debug assertions, runs inside
+:meth:`SymbolicManager.counters_paused`, which puts the counters back on
+exit to what they were on entry.
 
 The SCC kernels of :mod:`fairchk.scc` run their inner loops on the raw
 backend handles instead, to skip the per-operation handle allocation and
@@ -65,14 +68,8 @@ class StepCounters:
         return dataclasses.replace(self)
 
     def __sub__(self, other: "StepCounters") -> "StepCounters":
-        return StepCounters(
-            self.pre_ops - other.pre_ops,
-            self.post_ops - other.post_ops,
-            self.cpre_ops - other.cpre_ops,
-            self.set_ops - other.set_ops,
-            self.cardinality_ops - other.cardinality_ops,
-            self.pick_ops - other.pick_ops,
-        )
+        return StepCounters(*(getattr(self, f.name) - getattr(other, f.name)
+                              for f in dataclasses.fields(self)))
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -337,7 +334,6 @@ class SymbolicManager:
         self.n = n
         self.backend = backend
         self.counters = StepCounters()
-        self._paused = 0
         self.universe = VertexSet(self, self._b.universe())
         self.v_random = VertexSet(self, self._b.from_ids(sorted(random_vertices)))
         self.v_player1 = VertexSet(
@@ -357,26 +353,25 @@ class SymbolicManager:
 
     @contextmanager
     def counters_paused(self):
-        """Suspend counting, e.g. for debug assertions and bookkeeping."""
-        self._paused += 1
+        """Leave uncounted what a block runs, e.g. debug assertions.
+
+        The counters keep counting inside the block; on exit they are put
+        back to the copy saved on entry.
+        """
+        saved = self.counters.copy()
         try:
             yield
         finally:
-            self._paused -= 1
+            self.counters = saved
 
     def _charge(self, pre=0, post=0, set_ops=0, cardinality=0, pick=0):
-        """Count operations a kernel ran on raw backend handles.
-
-        Charges nothing while counting is paused, like the manager's own
-        counted methods.
-        """
-        if not self._paused:
-            c = self.counters
-            c.pre_ops += pre
-            c.post_ops += post
-            c.set_ops += set_ops
-            c.cardinality_ops += cardinality
-            c.pick_ops += pick
+        """Count operations a kernel ran on raw backend handles."""
+        c = self.counters
+        c.pre_ops += pre
+        c.post_ops += post
+        c.set_ops += set_ops
+        c.cardinality_ops += cardinality
+        c.pick_ops += pick
 
     def snapshot_counters(self) -> StepCounters:
         return self.counters.copy()
@@ -425,16 +420,14 @@ class SymbolicManager:
         """One-step predecessors: vertices with a successor in `z`."""
         if z.__class__ is not VertexSet or z.mgr is not self:
             self._h(z)
-        if not self._paused:
-            self.counters.pre_ops += 1
+        self.counters.pre_ops += 1
         return VertexSet(self, self._b.pre(z.h))
 
     def post(self, z: VertexSet) -> VertexSet:
         """One-step successors: vertices with a predecessor in `z`."""
         if z.__class__ is not VertexSet or z.mgr is not self:
             self._h(z)
-        if not self._paused:
-            self.counters.post_ops += 1
+        self.counters.post_ops += 1
         return VertexSet(self, self._b.post(z.h))
 
     def cpre_random(self, z: VertexSet, within: VertexSet | None = None) -> VertexSet:
@@ -447,8 +440,7 @@ class SymbolicManager:
         """
         h = self._h(z)
         s = self._b.universe() if within is None else self._h(within)
-        if not self._paused:
-            self.counters.cpre_ops += 1
+        self.counters.cpre_ops += 1
         return VertexSet(self, self._b.cpre_random(h, s))
 
     def union(self, a: VertexSet, b: VertexSet) -> VertexSet:
@@ -456,8 +448,7 @@ class SymbolicManager:
             self._h(a)
         if b.__class__ is not VertexSet or b.mgr is not self:
             self._h(b)
-        if not self._paused:
-            self.counters.set_ops += 1
+        self.counters.set_ops += 1
         return VertexSet(self, self._b.union(a.h, b.h))
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
@@ -465,8 +456,7 @@ class SymbolicManager:
             self._h(a)
         if b.__class__ is not VertexSet or b.mgr is not self:
             self._h(b)
-        if not self._paused:
-            self.counters.set_ops += 1
+        self.counters.set_ops += 1
         return VertexSet(self, self._b.intersect(a.h, b.h))
 
     def difference(self, a: VertexSet, b: VertexSet) -> VertexSet:
@@ -474,20 +464,17 @@ class SymbolicManager:
             self._h(a)
         if b.__class__ is not VertexSet or b.mgr is not self:
             self._h(b)
-        if not self._paused:
-            self.counters.set_ops += 1
+        self.counters.set_ops += 1
         return VertexSet(self, self._b.difference(a.h, b.h))
 
     def complement(self, a: VertexSet) -> VertexSet:
         ha = self._h(a)
-        if not self._paused:
-            self.counters.set_ops += 1
+        self.counters.set_ops += 1
         return VertexSet(self, self._b.complement(ha))
 
     def cardinality(self, z: VertexSet) -> int:
         h = self._h(z)
-        if not self._paused:
-            self.counters.cardinality_ops += 1
+        self.counters.cardinality_ops += 1
         return self._b.card(h)
 
     def pick(self, z: VertexSet) -> int:
@@ -497,6 +484,5 @@ class SymbolicManager:
         h = z.h
         if self._b.is_empty(h):
             raise UsageError("pick from empty set")
-        if not self._paused:
-            self.counters.pick_ops += 1
+        self.counters.pick_ops += 1
         return self._b.min_vertex(h)

@@ -6,6 +6,7 @@ import pytest
 
 from fairchk import UsageError
 from fairchk.cli import main
+from fairchk.runner import run_command
 from fairchk.thresholds import parse_threshold
 
 from conftest import F2_TEXT, F3_TEXT
@@ -78,6 +79,13 @@ def test_threshold_text(text, value):
 def test_bad_threshold_text(text):
     with pytest.raises(UsageError):
         parse_threshold(text)
+
+
+@pytest.mark.parametrize("algorithm", ["both", "Basic"])
+def test_run_command_names_unknown_algorithm(f2, algorithm):
+    # Python callers have no argparse in front to check the value.
+    with pytest.raises(UsageError, match=repr(algorithm)):
+        run_command("scc", f2, algorithm=algorithm)
 
 
 class TestExitCodes:

@@ -11,6 +11,7 @@ from fairchk import (
 )
 from fairchk.model import StreettPairs
 from fairchk.oracle import explicit_streett_graph
+from fairchk.symbolic import StepCounters
 
 from conftest import mgr_for
 from helpers import graph_instance
@@ -68,10 +69,15 @@ class TestExamples:
 
 
 class TestContracts:
-    def test_rejects_mdp(self, f3, pairs_l0_u2):
-        mgr = mgr_for(f3)
-        with pytest.raises(UsageError):
-            streett_graph_basic(mgr, f3, pairs_l0_u2)
+    def test_rejects_mdp(self, f1, f3, pairs_l0_u2):
+        """An MDP, or a bad threshold, is rejected before any counted step."""
+        calls = [(f3, streett_graph_basic, {}), (f3, streett_graph_improved, {})]
+        calls += [(f1, streett_graph_improved, {"threshold": t}) for t in (0, "bogus")]
+        for model, algorithm, kwargs in calls:
+            mgr = mgr_for(model)
+            with pytest.raises(UsageError):
+                algorithm(mgr, model, pairs_l0_u2, **kwargs)
+            assert mgr.snapshot_counters() == StepCounters(), (algorithm, kwargs)
 
     def test_report_counters_cover_run(self, f1, pairs_l0_u2):
         mgr = mgr_for(f1)

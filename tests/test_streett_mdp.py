@@ -11,6 +11,7 @@ from fairchk import (
 )
 from fairchk.model import StreettPairs
 from fairchk.oracle import explicit_streett_mdp
+from fairchk.symbolic import StepCounters
 
 from conftest import mgr_for
 from helpers import brute_streett_mdp, mdp_instance
@@ -66,10 +67,15 @@ class TestExamples:
 
 
 class TestContracts:
-    def test_rejects_graph(self, f1, pairs_l0_u2):
-        mgr = mgr_for(f1)
-        with pytest.raises(UsageError):
-            streett_mdp_basic(mgr, f1, pairs_l0_u2)
+    def test_rejects_graph(self, f1, f3, pairs_l0_u2):
+        """A graph, or a bad threshold, is rejected before any counted step."""
+        calls = [(f1, streett_mdp_basic, {}), (f1, streett_mdp_improved, {})]
+        calls += [(f3, streett_mdp_improved, {"threshold": t}) for t in (0, "bogus")]
+        for model, algorithm, kwargs in calls:
+            mgr = mgr_for(model)
+            with pytest.raises(UsageError):
+                algorithm(mgr, model, pairs_l0_u2, **kwargs)
+            assert mgr.snapshot_counters() == StepCounters(), (algorithm, kwargs)
 
     def test_preprocessing_counts_the_mec_initialization(self, f3, pairs_l0_u2):
         mgr = mgr_for(f3)
