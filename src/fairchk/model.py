@@ -34,7 +34,6 @@ __all__ = [
     "serialize_pairs",
     "bad_vertices",
     "has_edge",
-    "union_all",
     "pair_sets",
     "first_sink",
 ]
@@ -288,11 +287,3 @@ def bad_vertices(mgr, svs, pairs) -> object:
 def has_edge(mgr, svs) -> bool:
     """Whether `svs` induces an edge: one post and one set operation."""
     return not mgr.is_empty(mgr.intersect(mgr.post(svs), svs))
-
-
-def union_all(mgr, sets):
-    """Union of `sets`, one counted set operation per member."""
-    acc = mgr.empty()
-    for svs in sets:
-        acc = mgr.union(acc, svs)
-    return acc

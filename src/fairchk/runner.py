@@ -27,6 +27,10 @@ def run_command(command, model, pairs=None, algorithm="improved",
     """
     if algorithm not in ("basic", "improved"):
         raise UsageError(f"unknown algorithm {algorithm!r}")
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    if pairs is None and command in ("streett-graph", "streett-mdp"):
+        raise UsageError(f"{command} needs a pairs file")
     mgr = SymbolicManager.from_model(model, backend=backend)
     if command == "scc":
         variant = "fwbw" if algorithm == "basic" else "skeleton"
@@ -44,20 +48,14 @@ def run_command(command, model, pairs=None, algorithm="improved",
             return mec_basic(mgr, model, debug=debug)
         return mec_improved(mgr, model, threshold=threshold, debug=debug)
     if command == "streett-graph":
-        if pairs is None:
-            raise UsageError("streett-graph needs a pairs file")
         if algorithm == "basic":
             return streett_graph_basic(mgr, model, pairs, debug=debug)
         return streett_graph_improved(mgr, model, pairs, threshold=threshold,
                                       debug=debug)
-    if command == "streett-mdp":
-        if pairs is None:
-            raise UsageError("streett-mdp needs a pairs file")
-        if algorithm == "basic":
-            return streett_mdp_basic(mgr, model, pairs, debug=debug)
-        return streett_mdp_improved(mgr, model, pairs, threshold=threshold,
-                                    debug=debug)
-    raise UsageError(f"unknown command {command!r}")
+    if algorithm == "basic":
+        return streett_mdp_basic(mgr, model, pairs, debug=debug)
+    return streett_mdp_improved(mgr, model, pairs, threshold=threshold,
+                                debug=debug)
 
 
 def oracle_matches(command, model, pairs, report: RunReport) -> bool:

@@ -4,10 +4,12 @@
 step computes the forward set of a pivot while recording its layers,
 extracts a shortest "spine" path through the layers, peels off the
 pivot's SCC by a backward closure inside the forward set, and recurses on
-the two remaining parts.  Re-using the spine remainder as the next pivot
-is what keeps the total number of one-step operations linear in the
-number of vertices.  A plain forward/backward variant is kept behind a
-flag for differential testing.
+the two remaining parts.  The spine's vertices are joined by one n-ary
+union (the backend's ``union_all``), charged as the ``depth - 1`` binary
+unions that would fold them together.  Re-using the spine remainder as
+the next pivot is what keeps the total number of one-step operations
+linear in the number of vertices.  A plain forward/backward variant is
+kept behind a flag for differential testing.
 
 `lock_step_search` interleaves backward searches from vertices that lost
 incoming edges with forward searches from vertices that lost outgoing
@@ -58,6 +60,7 @@ def _sccs_skeleton(mgr, svs):
     b = mgr._b
     pre, post = b.pre, b.post
     union, intersect, difference = b.union, b.intersect, b.difference
+    union_all = b.union_all
     is_empty, min_vertex, singleton = b.is_empty, b.min_vertex, b.singleton
     n_pre = n_post = n_set = n_pick = 0
     out = []
@@ -83,13 +86,13 @@ def _sccs_skeleton(mgr, svs):
         n_post += depth
         n_set += 3 * depth
 
-        # Spine: a shortest path from the pivot to a deepest vertex.
+        # Spine: a shortest path from the pivot to a deepest vertex, built
+        # by one n-ary union and charged as its depth - 1 binary unions.
         tip = singleton(min_vertex(layers[-1]))
-        new_spine = tip
-        hop = tip
+        hops = [tip]
         for prev in reversed(layers[:-1]):
-            hop = singleton(min_vertex(intersect(pre(hop), prev)))
-            new_spine = union(new_spine, hop)
+            hops.append(singleton(min_vertex(intersect(pre(hops[-1]), prev))))
+        new_spine = union_all(hops)
         n_pick += depth
         n_pre += depth - 1
         n_set += 2 * (depth - 1)

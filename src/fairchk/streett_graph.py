@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from .errors import UsageError
-from .model import bad_vertices, has_edge, pair_sets, union_all
+from .model import bad_vertices, has_edge, pair_sets
 from .reach import reach_backward
 from .refine import refine, refine_basic
 from .report import RunReport
@@ -53,7 +53,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
             debug=debug,
         )
         events = {"rescc": rounds, "accepted": len(good), "bad_rounds": rounds}
-    win = reach_backward(mgr, mgr.universe, union_all(mgr, good))
+    win = reach_backward(mgr, mgr.universe, mgr.union_all(good))
     return RunReport(
         algorithm="streett-graph-improved" if improved else "streett-graph-basic",
         counters=mgr.snapshot_counters(),

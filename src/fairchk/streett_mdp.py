@@ -18,7 +18,7 @@ import time
 
 from .errors import UsageError
 from .mec import mec_decomposition
-from .model import bad_vertices, pair_sets, union_all
+from .model import bad_vertices, pair_sets
 from .reach import almost_sure_reach, random_attractor, random_escapes
 from .refine import refine, refine_basic
 from .report import RunReport
@@ -61,7 +61,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
             debug=debug,
         )
         events = {"remec": rounds, "accepted": len(good), "bad_rounds": rounds}
-    win = almost_sure_reach(mgr, model, union_all(mgr, good))
+    win = almost_sure_reach(mgr, model, mgr.union_all(good))
     return RunReport(
         algorithm="streett-mdp-improved" if improved else "streett-mdp-basic",
         counters=mgr.snapshot_counters(),

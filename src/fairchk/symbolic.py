@@ -17,6 +17,13 @@ entry, tally their operations locally, and charge, through
 :meth:`SymbolicManager._charge`, exactly what the same sequence of
 manager calls would have counted.
 
+A many-way union, :meth:`SymbolicManager.union_all` and the backends'
+``union_all``, counts one set operation per member, as folding the
+members into the empty set with ``union`` does; the skeleton kernel
+charges the union that builds a spine of ``d`` vertices as its ``d - 1``
+binary unions.  The backend builds the result at once: bitsets OR the
+masks, OBDDs run one n-ary apply that makes only the result's nodes.
+
 Two interchangeable backends implement the same semantics:
 
 - ``bitset``: vertex sets are Python integers used as bit masks.  The
@@ -279,6 +286,12 @@ class _BitsetBackend:
     def union(self, a, b):
         return a | b
 
+    def union_all(self, handles):
+        acc = 0
+        for h in handles:
+            acc |= h
+        return acc
+
     def intersect(self, a, b):
         return a & b
 
@@ -450,6 +463,16 @@ class SymbolicManager:
             self._h(b)
         self.counters.set_ops += 1
         return VertexSet(self, self._b.union(a.h, b.h))
+
+    def union_all(self, sets) -> VertexSet:
+        """Union of `sets`, one counted set operation per member.
+
+        The count is that of folding the members into the empty set with
+        `union`; the backend builds the result in one n-ary union.
+        """
+        handles = [self._h(z) for z in sets]  # all checked before counting
+        self.counters.set_ops += len(handles)
+        return VertexSet(self, self._b.union_all(handles))
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
         if a.__class__ is not VertexSet or a.mgr is not self:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fairchk import UsageError
+from fairchk import SymbolicManager, UsageError
 from fairchk.cli import main
 from fairchk.runner import run_command
 from fairchk.thresholds import parse_threshold
@@ -86,6 +86,17 @@ def test_run_command_names_unknown_algorithm(f2, algorithm):
     # Python callers have no argparse in front to check the value.
     with pytest.raises(UsageError, match=repr(algorithm)):
         run_command("scc", f2, algorithm=algorithm)
+
+
+@pytest.mark.parametrize("command", ["streett-graph", "streett-mdp"])
+def test_run_command_rejects_missing_pairs_before_building(f2, command, monkeypatch):
+    # The manager checks and indexes every edge: too late to find out then.
+    def no_manager(*args, **kwargs):
+        raise AssertionError("manager built for a run that cannot start")
+
+    monkeypatch.setattr(SymbolicManager, "from_model", no_manager)
+    with pytest.raises(UsageError, match=f"{command} needs a pairs file"):
+        run_command(command, f2, None)
 
 
 class TestExitCodes:

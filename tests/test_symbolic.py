@@ -85,6 +85,15 @@ class TestSetAlgebra:
         assert ids(mgr, mgr.intersect(a, mgr.from_ids([1, 2]))) == [1]
         assert ids(mgr, mgr.complement(a)) == [2]
 
+    def test_union_all_counts_as_a_fold_of_unions(self, f1, backend):
+        mgr = mgr_for(f1, backend)
+        a, b = mgr.from_ids([0]), mgr.from_ids([0, 2])
+        for members, want in (([], []), ([b], [0, 2]), ([a, b, a], [0, 2])):
+            before = mgr.snapshot_counters().set_ops
+            # A one-shot iterator is read once.
+            assert ids(mgr, mgr.union_all(iter(members))) == want
+            assert mgr.snapshot_counters().set_ops - before == len(members)
+
 
 class TestCounters:
     def test_fresh_manager_all_zero(self, f1):
@@ -154,6 +163,8 @@ class TestHandleHygiene:
         for op in (mgr.union, mgr.intersect, mgr.difference):
             calls.append(lambda x, op=op: op(x, own))
             calls.append(lambda x, op=op: op(own, x))
+        # A foreign member anywhere in the list: nothing is counted.
+        calls += [lambda x: mgr.union_all([x]), lambda x: mgr.union_all([own, own, x])]
         # The SCC kernels run on raw handles but check theirs at entry.
         calls += [
             lambda x: all_sccs(mgr, x),
