@@ -15,13 +15,6 @@ the relational product.  The commutative operations order their operands
 before the cache lookup.  All memo entries share the one ``_cache`` dict,
 keyed by a single int that packs the operation code and its operands.
 
-The n-ary disjunction ``or_all`` splits all of its operands on their top
-level at once and recurses on the sets of cofactors, so ``mk`` runs only
-for nodes of the result; a chain of binary ``or_`` would also build, and
-keep, every partial union.  Its memo, keyed by the frozenset of operand
-ids, lives for one call and writes nothing into ``_cache``.  The skeleton
-SCC kernel builds each spine with it.
-
 The relational product ``and_exists(f, g, parity)`` computes
 ``exists rail . f and g`` in one pass, quantifying each level of the rail
 as the recursion leaves it, after the technique of CUDD's
@@ -30,8 +23,11 @@ of the edge relation with a set is never built.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
-basic MEC solve of the 1,152-vertex benchmark ladder ends with 28,187
-nodes and 411,523 cache entries.
+SCC kernel builds each spine once from its vertex ids, which makes only
+the spine's own nodes and no cache entry, rather than keeping every
+partial union of a chain of ``or_``.  The basic MEC solve of the
+1,152-vertex benchmark ladder ends with 28,187 nodes and 411,523 cache
+entries.
 """
 
 from __future__ import annotations
@@ -127,35 +123,6 @@ class _Bdd:
             r = self.mk(lb, self.or_(a, self.low[b]), self.or_(a, self.high[b]))
         self._cache[key] = r
         return r
-
-    def or_all(self, nodes):
-        """Disjunction of all of `nodes`, one n-ary apply; see the module."""
-        level, low, high, mk = self.level, self.low, self.high, self.mk
-        memo = {}
-
-        def apply(ops):
-            if _TRUE in ops:
-                return _TRUE
-            ops.discard(_FALSE)
-            if len(ops) <= 1:
-                return ops.pop() if ops else _FALSE
-            key = frozenset(ops)
-            r = memo.get(key)
-            if r is not None:
-                return r
-            top = min(level[a] for a in ops)
-            lo, hi = set(), set()
-            for a in ops:
-                if level[a] == top:
-                    lo.add(low[a])
-                    hi.add(high[a])
-                else:
-                    lo.add(a)
-                    hi.add(a)
-            r = memo[key] = mk(top, apply(lo), apply(hi))
-            return r
-
-        return apply(set(nodes))
 
     def diff(self, a, b):
         """``a and not b``."""
@@ -347,9 +314,6 @@ class ObddBackend:
 
     def union(self, a, b):
         return self.dd.or_(a, b)
-
-    def union_all(self, handles):
-        return self.dd.or_all(handles)
 
     def intersect(self, a, b):
         return self.dd.and_(a, b)

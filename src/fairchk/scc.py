@@ -4,12 +4,13 @@
 step computes the forward set of a pivot while recording its layers,
 extracts a shortest "spine" path through the layers, peels off the
 pivot's SCC by a backward closure inside the forward set, and recurses on
-the two remaining parts.  The spine's vertices are joined by one n-ary
-union (the backend's ``union_all``), charged as the ``depth - 1`` binary
-unions that would fold them together.  Re-using the spine remainder as
-the next pivot is what keeps the total number of one-step operations
-linear in the number of vertices.  A plain forward/backward variant is
-kept behind a flag for differential testing.
+the two remaining parts.  The spine's vertex set is built once from its
+ids, charged as the ``depth - 1`` binary unions that would join its
+vertices one at a time; on decision diagrams this makes only the spine's
+own nodes.  Re-using the spine remainder as the next pivot is what keeps
+the total number of one-step operations linear in the number of vertices.
+A plain forward/backward variant is kept behind a flag for differential
+testing.
 
 `lock_step_search` interleaves backward searches from vertices that lost
 incoming edges with forward searches from vertices that lost outgoing
@@ -60,8 +61,8 @@ def _sccs_skeleton(mgr, svs):
     b = mgr._b
     pre, post = b.pre, b.post
     union, intersect, difference = b.union, b.intersect, b.difference
-    union_all = b.union_all
-    is_empty, min_vertex, singleton = b.is_empty, b.min_vertex, b.singleton
+    is_empty, min_vertex = b.is_empty, b.min_vertex
+    singleton, from_ids = b.singleton, b.from_ids
     n_pre = n_post = n_set = n_pick = 0
     out = []
     empty = b.empty()
@@ -86,13 +87,17 @@ def _sccs_skeleton(mgr, svs):
         n_post += depth
         n_set += 3 * depth
 
-        # Spine: a shortest path from the pivot to a deepest vertex, built
-        # by one n-ary union and charged as its depth - 1 binary unions.
-        tip = singleton(min_vertex(layers[-1]))
-        hops = [tip]
+        # Spine: a shortest path from the pivot to a deepest vertex.  Its
+        # vertices are built into one set at the end, charged as the
+        # depth - 1 unions that would join them one at a time.
+        v = min_vertex(layers[-1])
+        tip = hop = singleton(v)
+        ids = [v]
         for prev in reversed(layers[:-1]):
-            hops.append(singleton(min_vertex(intersect(pre(hops[-1]), prev))))
-        new_spine = union_all(hops)
+            v = min_vertex(intersect(pre(hop), prev))
+            hop = singleton(v)
+            ids.append(v)
+        new_spine = from_ids(ids)
         n_pick += depth
         n_pre += depth - 1
         n_set += 2 * (depth - 1)

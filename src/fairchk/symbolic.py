@@ -17,12 +17,10 @@ entry, tally their operations locally, and charge, through
 :meth:`SymbolicManager._charge`, exactly what the same sequence of
 manager calls would have counted.
 
-A many-way union, :meth:`SymbolicManager.union_all` and the backends'
-``union_all``, counts one set operation per member, as folding the
-members into the empty set with ``union`` does; the skeleton kernel
-charges the union that builds a spine of ``d`` vertices as its ``d - 1``
-binary unions.  The backend builds the result at once: bitsets OR the
-masks, OBDDs run one n-ary apply that makes only the result's nodes.
+The skeleton kernel builds the spine of ``d`` vertices once from its ids
+and charges it as the ``d - 1`` binary unions that would join them.
+:meth:`SymbolicManager.union_all` checks every member before it counts
+one set operation per member, then folds them with the backend ``union``.
 
 Two interchangeable backends implement the same semantics:
 
@@ -286,12 +284,6 @@ class _BitsetBackend:
     def union(self, a, b):
         return a | b
 
-    def union_all(self, handles):
-        acc = 0
-        for h in handles:
-            acc |= h
-        return acc
-
     def intersect(self, a, b):
         return a & b
 
@@ -467,12 +459,15 @@ class SymbolicManager:
     def union_all(self, sets) -> VertexSet:
         """Union of `sets`, one counted set operation per member.
 
-        The count is that of folding the members into the empty set with
-        `union`; the backend builds the result in one n-ary union.
+        Every member's owner is checked before anything is counted; then
+        the members are folded into the empty set with the backend `union`.
         """
         handles = [self._h(z) for z in sets]  # all checked before counting
         self.counters.set_ops += len(handles)
-        return VertexSet(self, self._b.union_all(handles))
+        acc = self._b.empty()
+        for h in handles:
+            acc = self._b.union(acc, h)
+        return VertexSet(self, acc)
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
         if a.__class__ is not VertexSet or a.mgr is not self:

@@ -120,62 +120,6 @@ def test_ops_match_bitset_backend(n):
         assert results[0] == results[1] == results[2], (n, a_ids, b_ids, v)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 17, 33, 100])
-def test_union_all_matches_bitset_backend(n):
-    """The n-ary union holds the same set on decision diagrams, bit masks
-    and neighbour tuples, for any number of members, repeats, overlaps,
-    the empty set and the universe among them."""
-    rng = random.Random(2000 + n)
-    edges = random_graph(rng, n, rng.randint(n, min(3 * n, n * n)))
-    backends = [ObddBackend(n, edges, ())]
-    for name in BITSET_REPRESENTATIONS:
-        with bitset_representation(name):
-            backends.append(_BitsetBackend(n, edges, ()))
-
-    pool = sized_ids(rng, n) + [[v] for v in range(n)]
-    member_lists = [[], [[]], [list(range(n))], [[0], [n - 1]]]
-    for _ in range(30):
-        k = rng.choice((1, 2, 3, 8, 40))
-        members = [rng.choice(pool) for _ in range(k)]
-        members += rng.sample(members, rng.randint(0, len(members)))  # repeats
-        member_lists.append(members)
-        member_lists.append(members + [list(range(n))])
-        member_lists.append(members + [[]])
-    for members in member_lists:
-        want = sorted(set().union(*members))
-        for bk in backends:
-            got = bk.union_all([bk.from_ids(ids) for ids in members])
-            assert bk.to_ids(got) == want, (bk.name, n, members)
-            assert got == bk.from_ids(want)  # canonical on every backend
-
-
-def test_union_all_makes_only_result_nodes():
-    """The n-ary union adds no node outside its result and no cache entry;
-    a chain of binary unions keeps every partial union as well."""
-    n = 256
-    backend = _backend(n, [(v, v) for v in range(n)])
-    dd = backend.dd
-    hops = [backend.singleton(v) for v in range(0, n, 3)]
-    nodes, entries = len(dd.level), len(dd._cache)
-    spine = backend.union_all(hops)
-    assert backend.to_ids(spine) == list(range(0, n, 3))
-    assert len(dd._cache) == entries
-    result_nodes, stack = set(), [spine]
-    while stack:
-        u = stack.pop()
-        if u > 1 and u not in result_nodes:
-            result_nodes.add(u)
-            stack += (dd.low[u], dd.high[u])
-    assert set(range(nodes, len(dd.level))) <= result_nodes
-
-    nodes = len(dd.level)
-    chained = backend.empty()
-    for h in hops:
-        chained = backend.union(chained, h)
-    assert chained == spine
-    assert len(dd.level) - nodes > len(result_nodes)
-
-
 def test_ladder_mec_node_table_stays_linear():
     """The basic MEC solve of the benchmark's ladder keeps its node table
     within 30 nodes per vertex.  Spines grown one binary union at a time
