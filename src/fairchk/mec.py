@@ -32,60 +32,52 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
     counts of SCC splits (``rescc``) and lock-step splits.
 
     `initial` is normally ``all_sccs`` of the universe or of a subset;
-    the RunReport wrappers below add that split, timing and counters.
+    the driver `_report` below makes that split for ``mec_basic`` and
+    ``mec_improved`` and builds their report.
     Graphs are handled as MDPs without random vertices: their MECs are the
     SCCs that contain at least one edge.
     """
-
-    def attract(within, targets):
-        return random_attractor(mgr, within, targets, debug=debug)
-
-    if not improved:
+    operators = dict(removal=lambda svs: random_escapes(mgr, svs, mgr.universe),
+                     attract=lambda within, targets: random_attractor(
+                         mgr, within, targets, debug=debug))
+    if improved:
+        accepted, found = refine(
+            mgr, model, (), initial, mec_threshold(threshold, model.n, model.m),
+            **operators, escapes=lambda part, whole: mgr.empty(),
+            kernels=(all_sccs, lock_step_search),
+            debug=debug, mec=True,
+        )
+        events = {"rescc": found["rescc"], "lockstep": found["lockstep"]}
+    else:
         accepted, rounds = refine_basic(
-            mgr, model, (), initial,
-            removal=lambda svs: random_escapes(mgr, svs, mgr.universe),
-            attract=attract,
+            mgr, model, (), initial, **operators,
             decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
         events = {"rescc": rounds, "lockstep": 0}
-    else:
-        accepted, found = refine(
-            mgr, model, (), initial, mec_threshold(threshold, model.n, model.m),
-            attract=attract,
-            escapes=lambda part, whole: mgr.empty(),
-            kernels=(lambda mgr, svs, _: random_escapes(mgr, svs, mgr.universe),
-                     all_sccs, lock_step_search),
-            debug=debug, mec=True,
-        )
-        events = {"rescc": found["rescc"], "lockstep": found["lockstep"]}
 
     accepted.sort(key=mgr.min_vertex)
     return accepted, events
 
 
-def _report(mgr, model, name, improved, threshold, debug):
+def _report(mgr, model, improved, threshold, debug):
     start = time.perf_counter()
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     mecs, events = mec_decomposition(mgr, model, initial, improved=improved,
                                      threshold=threshold, debug=debug)
-    return RunReport(
-        algorithm=name,
-        counters=mgr.snapshot_counters(),
-        preprocessing=prep,
-        wall_time=time.perf_counter() - start,
-        components=[mgr.to_ids(c) for c in mecs],
-        events=events,
+    return RunReport.since(
+        mgr, "mec-improved" if improved else "mec-basic",
+        start, prep, components=[mgr.to_ids(c) for c in mecs], events=events,
     )
 
 
 def mec_basic(mgr, model, debug=False) -> RunReport:
     """Decomposition with a full SCC recomputation after every cleanup."""
-    return _report(mgr, model, "mec-basic", False, "auto", debug)
+    return _report(mgr, model, False, "auto", debug)
 
 
 def mec_improved(mgr, model, threshold="auto", debug=False) -> RunReport:
     """Decomposition with lock-step bottom-SCC peeling below the threshold."""
-    return _report(mgr, model, "mec-improved", True, threshold, debug)
+    return _report(mgr, model, True, threshold, debug)

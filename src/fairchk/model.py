@@ -230,9 +230,12 @@ def parse_pairs(text: str, n: int) -> StreettPairs:
             raise ModelError("missing pair index", lineno)
         try:
             i = int(tok[1])
-            vs = [int(t) for t in tok[2:]]
         except ValueError:
             raise ModelError("indices must be integers", lineno) from None
+        try:
+            vs = [int(t) for t in tok[2:]]
+        except ValueError:
+            raise ModelError("pair vertices must be integers", lineno) from None
         if not 1 <= i <= k:
             raise ModelError(f"pair index {i} outside 1..{k}", lineno)
         for v in vs:

@@ -6,23 +6,32 @@ with its attractor, and decomposes the rest from scratch.  :func:`refine`
 runs the three improved ones.  Each of its candidates carries the vertices
 that lost an incoming (`lost_in`) or an outgoing (`lost_out`) edge since a
 superset was last known to be strongly connected; MEC candidates carry
-`lost_out` only.  Per candidate, what the removal kernel finds is removed
-until nothing remains, the witnesses updated along the removal boundary; a
+`lost_out` only.  Per candidate, what `removal` finds is removed until
+nothing remains, the witnesses updated along the removal boundary; a
 candidate without an edge is dropped; one without witnesses is accepted;
 one with at least `threshold` witnesses is split into SCCs; anything in
 between is split by the lock-step search, which separates one top or
 bottom SCC, and both halves keep witnesses along the split.
 
-Graphs and MDPs differ only in what a removal takes along, given as
-operators:
+The three problems differ only in their operators, which each driver
+defines once and passes to both loops:
 
-- ``attract(within, targets)`` (both loops): the vertices of `within`
-  removed with `targets`.  Graphs remove `targets` alone; MDPs remove
-  their random attractor.
+- ``removal(svs)``: what cannot stay in the candidate `svs`.  The
+  fairness problems remove the bad vertices of their pairs; the MEC
+  decomposition removes the random vertices with an edge leaving `svs`.
+- ``attract(within, targets)``: the vertices of `within` removed with
+  `targets`.  Graphs remove `targets` alone; MDPs remove their random
+  attractor.
 - ``escapes(part, whole)`` (:func:`refine`): the vertices of `part`, a
   component split off `whole`, that must leave with the rest of `whole`.
-  Graphs have none; on MDPs they are the random vertices of `part` with
-  an edge into ``whole ∖ part``.
+  Graphs and the MEC decomposition have none; on MDPs they are the
+  random vertices of `part` with an edge into ``whole ∖ part``.
+
+The operators, and the `kernels` of :func:`refine`, reach the kernels
+through the caller's module bindings (a lambda or an inner function that
+names the module global), not through imports of this module, because
+tools that wrap kernels per calling module (``perfbench/tracing.py``)
+patch those bindings.
 """
 
 from __future__ import annotations
@@ -43,8 +52,7 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
     A candidate `svs` with nonempty ``removal(svs)`` loses ``attract(svs,
     removal(svs))``, and ``decompose`` of the rest gives new candidates
     (one round); one with nothing to remove is accepted if ``accepts(svs)``.
-    Operators call kernels through the caller's module bindings, as in
-    :func:`refine`.  `psets` serves only the debug checks.
+    `psets` serves only the debug checks.
     """
     pending = deque(initial)
     good = []
@@ -67,22 +75,21 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
     return good, rounds
 
 
-def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
-           debug=False, *, mec=False):
+def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
+           kernels, debug=False, *, mec=False):
     """Good components among the candidate sets `initial`, and the events.
 
-    `kernels` is ``(removal, all_sccs, lock_step_search)``, passed from
-    the caller's module bindings rather than imported here, because tools
-    that wrap them per calling module (``perfbench/tracing.py``) patch
-    those bindings.  The removal kernel gives what cannot stay in a
-    candidate.  Returns the accepted components in acceptance order and
-    the counts of removal rounds, SCC splits, lock-step splits and
-    acceptances.  With `mec`, the loop decomposes into MECs: only
-    `lost_out` counts, one removal round suffices (the random attractor of
-    the escapes leaves no random escape), and the lock-step component is
-    accepted whenever it has an edge.
+    `kernels` is ``(all_sccs, lock_step_search)``, passed from the
+    caller's module bindings rather than imported here (see the module
+    docstring).  `psets` serves only the debug checks.  Returns the
+    accepted components in acceptance order and the counts of removal
+    rounds, SCC splits, lock-step splits and acceptances.  With `mec`,
+    the loop decomposes into MECs: only `lost_out` counts, one removal
+    round suffices (the random attractor of the escapes leaves no random
+    escape), and the lock-step component is accepted whenever it has an
+    edge.
     """
-    removal, all_sccs, lock_step_search = kernels
+    all_sccs, lock_step_search = kernels
     empty = mgr.empty()
     pending = deque(Candidate(comp, empty, empty) for comp in initial)
     good = []
@@ -130,13 +137,13 @@ def refine(mgr, model, psets, initial, thresh, attract, escapes, kernels,
             invariants.check_candidate(mgr, cand)
         svs, lost_in, lost_out = cand.vertices, cand.lost_in, cand.lost_out
 
-        bad = removal(mgr, svs, psets)
+        bad = removal(svs)
         while not mgr.is_empty(bad):
             events["bad_rounds"] += 1
             removed = attract(svs, bad)
             svs = mgr.difference(svs, removed)
             lost_in, lost_out = boundary(svs, removed, lost_in, lost_out)
-            bad = empty if mec else removal(mgr, svs, psets)
+            bad = empty if mec else removal(svs)
         if debug:
             invariants.check_no_random_escape(mgr, svs)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 from .symbolic import StepCounters
 
@@ -18,9 +19,18 @@ class RunReport:
     exactly one of the two is set.  `counters` are the manager totals at
     the end of the run and `preprocessing` the totals right after the
     initial decomposition, so `main_counters` isolates the part that the
-    benchmark comparisons are about.  `events` counts interesting control
-    decisions (lock-step calls, full re-decompositions, accepted
-    components).
+    benchmark comparisons are about.
+
+    `events` counts control decisions: ``rescc`` SCC and ``remec`` MEC
+    re-decompositions, ``lockstep`` splits, ``bad_rounds`` removal rounds
+    and ``accepted`` components.  The algorithms report these keys:
+
+    - ``scc-fwbw``, ``scc-skeleton``: none;
+    - ``mec-basic``, ``mec-improved``: ``rescc``, ``lockstep`` (0 in basic);
+    - ``streett-graph-basic``: ``rescc``, ``accepted``, ``bad_rounds``;
+    - ``streett-mdp-basic``: ``remec``, ``accepted``, ``bad_rounds``;
+    - ``streett-graph-improved``, ``streett-mdp-improved``: ``rescc``,
+      ``lockstep``, ``accepted``, ``bad_rounds``.
     """
 
     algorithm: str
@@ -30,6 +40,13 @@ class RunReport:
     winning: list | None = None
     components: list | None = None
     events: dict = dataclasses.field(default_factory=dict)
+
+    @classmethod
+    def since(cls, mgr, algorithm, start, preprocessing, **result):
+        """The report of the run on `mgr` begun at ``perf_counter()`` `start`;
+        `result` sets `winning` or `components`, and `events`."""
+        return cls(algorithm, mgr.snapshot_counters(), preprocessing,
+                   time.perf_counter() - start, **result)
 
     @property
     def main_counters(self) -> StepCounters:

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import time
 
-from . import oracle
+from . import mec, oracle, streett_graph, streett_mdp
 from .errors import UsageError
-from .mec import mec_basic, mec_improved
 from .report import RunReport
 from .scc import all_sccs
-from .streett_graph import streett_graph_basic, streett_graph_improved
-from .streett_mdp import streett_mdp_basic, streett_mdp_improved
 from .symbolic import StepCounters, SymbolicManager
 
 __all__ = ["run_command", "oracle_matches", "COMMANDS"]
@@ -23,7 +20,8 @@ def run_command(command, model, pairs=None, algorithm="improved",
     """Run one algorithm on a fresh manager and return its report.
 
     For the ``scc`` command ``basic`` selects the plain forward/backward
-    decomposition and ``improved`` the linear-step skeleton variant.
+    decomposition and ``improved`` the linear-step skeleton variant.  The
+    basic algorithms take no threshold and ignore `threshold`.
     """
     if algorithm not in ("basic", "improved"):
         raise UsageError(f"unknown algorithm {algorithm!r}")
@@ -32,30 +30,17 @@ def run_command(command, model, pairs=None, algorithm="improved",
     if pairs is None and command in ("streett-graph", "streett-mdp"):
         raise UsageError(f"{command} needs a pairs file")
     mgr = SymbolicManager.from_model(model, backend=backend)
+    improved = algorithm == "improved"
     if command == "scc":
-        variant = "fwbw" if algorithm == "basic" else "skeleton"
+        variant = "skeleton" if improved else "fwbw"
         start = time.perf_counter()
         parts = all_sccs(mgr, mgr.universe, variant=variant)
-        return RunReport(
-            algorithm=f"scc-{variant}",
-            counters=mgr.snapshot_counters(),
-            preprocessing=StepCounters(),
-            wall_time=time.perf_counter() - start,
-            components=[mgr.to_ids(p) for p in parts],
-        )
+        return RunReport.since(mgr, f"scc-{variant}", start, StepCounters(),
+                               components=[mgr.to_ids(p) for p in parts])
     if command == "mec":
-        if algorithm == "basic":
-            return mec_basic(mgr, model, debug=debug)
-        return mec_improved(mgr, model, threshold=threshold, debug=debug)
-    if command == "streett-graph":
-        if algorithm == "basic":
-            return streett_graph_basic(mgr, model, pairs, debug=debug)
-        return streett_graph_improved(mgr, model, pairs, threshold=threshold,
-                                      debug=debug)
-    if algorithm == "basic":
-        return streett_mdp_basic(mgr, model, pairs, debug=debug)
-    return streett_mdp_improved(mgr, model, pairs, threshold=threshold,
-                                debug=debug)
+        return mec._report(mgr, model, improved, threshold, debug)
+    driver = streett_graph if command == "streett-graph" else streett_mdp
+    return driver._report(mgr, model, pairs, improved, threshold, debug)
 
 
 def oracle_matches(command, model, pairs, report: RunReport) -> bool:

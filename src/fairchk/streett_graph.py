@@ -30,37 +30,32 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     if model.kind != "graph":
         raise UsageError("this algorithm expects a graph model")
     start = time.perf_counter()
-    thresh = streett_threshold(threshold, model.n, model.m)
+    thresh = streett_threshold(threshold, model.n, model.m) if improved else None
     psets = pair_sets(mgr, pairs)
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
+    operators = dict(removal=lambda svs: bad_vertices(mgr, svs, psets),
+                     attract=lambda within, targets: targets)
     if improved:
         empty = mgr.empty()
         good, events = refine(
-            mgr, model, psets, initial, thresh,
-            attract=lambda within, targets: targets,
+            mgr, model, psets, initial, thresh, **operators,
             escapes=lambda part, whole: empty,
-            kernels=(bad_vertices, all_sccs, lock_step_search),
+            kernels=(all_sccs, lock_step_search),
             debug=debug,
         )
     else:
         good, rounds = refine_basic(
-            mgr, model, psets, initial,
-            removal=lambda svs: bad_vertices(mgr, svs, psets),
-            attract=lambda within, targets: targets,
+            mgr, model, psets, initial, **operators,
             decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
         events = {"rescc": rounds, "accepted": len(good), "bad_rounds": rounds}
     win = reach_backward(mgr, mgr.universe, mgr.union_all(good))
-    return RunReport(
-        algorithm="streett-graph-improved" if improved else "streett-graph-basic",
-        counters=mgr.snapshot_counters(),
-        preprocessing=prep,
-        wall_time=time.perf_counter() - start,
-        winning=mgr.to_ids(win),
-        events=events,
+    return RunReport.since(
+        mgr, "streett-graph-improved" if improved else "streett-graph-basic",
+        start, prep, winning=mgr.to_ids(win), events=events,
     )
 
 

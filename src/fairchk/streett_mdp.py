@@ -32,29 +32,25 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     if model.kind != "mdp":
         raise UsageError("this algorithm expects an mdp model")
     start = time.perf_counter()
-    thresh = streett_threshold(threshold, model.n, model.m)
+    thresh = streett_threshold(threshold, model.n, model.m) if improved else None
     psets = pair_sets(mgr, pairs)
     initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
-
-    def attract(within, targets):
-        return random_attractor(mgr, within, targets, debug=debug)
-
+    operators = dict(removal=lambda svs: bad_vertices(mgr, svs, psets),
+                     attract=lambda within, targets: random_attractor(
+                         mgr, within, targets, debug=debug))
     if improved:
         good, events = refine(
-            mgr, model, psets, mecs, thresh,
-            attract=attract,
+            mgr, model, psets, mecs, thresh, **operators,
             escapes=lambda part, whole: random_escapes(mgr, part, whole),
-            kernels=(bad_vertices, all_sccs, lock_step_search),
+            kernels=(all_sccs, lock_step_search),
             debug=debug,
         )
     else:
         # MECs have edges, so every candidate without bad vertices is accepted.
         good, rounds = refine_basic(
-            mgr, model, psets, mecs,
-            removal=lambda svs: bad_vertices(mgr, svs, psets),
-            attract=attract,
+            mgr, model, psets, mecs, **operators,
             decompose=lambda rest: [] if mgr.is_empty(rest) else mec_decomposition(
                 mgr, model, all_sccs(mgr, rest), debug=debug)[0],
             accepts=lambda svs: True,
@@ -62,13 +58,9 @@ def _report(mgr, model, pairs, improved, threshold, debug):
         )
         events = {"remec": rounds, "accepted": len(good), "bad_rounds": rounds}
     win = almost_sure_reach(mgr, model, mgr.union_all(good))
-    return RunReport(
-        algorithm="streett-mdp-improved" if improved else "streett-mdp-basic",
-        counters=mgr.snapshot_counters(),
-        preprocessing=prep,
-        wall_time=time.perf_counter() - start,
-        winning=mgr.to_ids(win),
-        events=events,
+    return RunReport.since(
+        mgr, "streett-mdp-improved" if improved else "streett-mdp-basic",
+        start, prep, winning=mgr.to_ids(win), events=events,
     )
 
 

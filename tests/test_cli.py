@@ -187,6 +187,45 @@ class TestExitCodes:
             assert f"error: {command} needs a pairs file" in err
 
 
+# (model text, pairs text or None, the message after "error: ").  The pairs
+# cases parse F2 (4 vertices) as the model.
+PARSE_ERRORS = {
+    "empty-model": ("# nothing\n", None, "empty model file"),
+    "vertex-count": ("graph four\n", None, "line 1: bad vertex count 'four'"),
+    "edge-arity": ("graph 2\ne 0\n", None,
+                   "line 2: edge line needs exactly two vertices"),
+    "edge-endpoints": ("graph 2\ne 0 x\n", None,
+                       "line 2: edge endpoints must be integers"),
+    "random-vertices": ("mdp 2\ne 0 1\nrandom one\n", None,
+                        "line 3: random vertices must be integers"),
+    "model-directive": ("graph 2\nv 0\n", None, "line 2: unknown directive 'v'"),
+    "empty-pairs": (F2_TEXT, "\n# nothing\n", "empty pairs file"),
+    "pairs-header": (F2_TEXT, "pair 1\n", "line 1: expected 'pairs <k>'"),
+    "pair-count": (F2_TEXT, "pairs one\n", "line 1: bad pair count 'one'"),
+    "negative-count": (F2_TEXT, "pairs -1\n", "line 1: pair count must be non-negative"),
+    "pairs-directive": (F2_TEXT, "pairs 1\nR 1 0\n", "line 2: unknown directive 'R'"),
+    "missing-index": (F2_TEXT, "pairs 1\nL\n", "line 2: missing pair index"),
+    "index": (F2_TEXT, "pairs 1\nL a 0\n", "line 2: indices must be integers"),
+    "pair-vertex": (F2_TEXT, "pairs 1\nU 1 0\nL 1 a\n",
+                    "line 3: pair vertices must be integers"),
+}
+
+
+@pytest.mark.parametrize("model_text, pairs_text, message",
+                         list(PARSE_ERRORS.values()), ids=list(PARSE_ERRORS))
+def test_parse_error_exits_with_its_message(tmp_path, capsys, model_text,
+                                            pairs_text, message):
+    model = tmp_path / "model.txt"
+    model.write_text(model_text)
+    argv = ["streett-graph", "--model", str(model)]
+    if pairs_text is not None:
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(pairs_text)
+        argv += ["--pairs", str(pairs)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestSweeps:
     def test_compare_csv_shape(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
