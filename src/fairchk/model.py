@@ -273,18 +273,27 @@ def bad_vertices(mgr, svs, pairs) -> object:
 
     For each pair whose grant set misses `svs` entirely, the members of
     the request set inside `svs` are bad.  Uses at most ``2k`` set
-    operations and ``k`` emptiness tests.
+    operations and ``k`` emptiness tests.  Runs on raw backend handles,
+    checking the owner of each handle it reads, and charges what the same
+    fold of manager calls counts.
     """
+    from .symbolic import VertexSet  # symbolic imports this module
     if isinstance(pairs, StreettPairs):
         pairs = pair_sets(mgr, pairs)
-    acc = None
-    for left, right in pairs:
-        grants = mgr.intersect(right, svs)
-        if mgr.is_empty(grants):
-            acc = left if acc is None else mgr.union(acc, left)
-    if acc is None:
-        return mgr.empty()
-    return mgr.intersect(acc, svs)
+    b, s = mgr._b, mgr._h(svs)
+    intersect, union, is_empty = b.intersect, b.union, b.is_empty
+    acc = b.empty()
+    k = bad = 0
+    for k, (left, right) in enumerate(pairs, 1):
+        if right.__class__ is not VertexSet or right.mgr is not mgr:
+            mgr._h(right)
+        if is_empty(intersect(right.h, s)):
+            if left.__class__ is not VertexSet or left.mgr is not mgr:
+                mgr._h(left)
+            acc = union(acc, left.h)
+            bad += 1
+    mgr._charge(set_ops=k + bad)
+    return VertexSet(mgr, intersect(acc, s) if bad else acc)
 
 
 def has_edge(mgr, svs) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .errors import InvariantViolation
+from .symbolic import VertexSet
 
 __all__ = ["reach_backward", "random_attractor", "random_escapes", "almost_sure_reach"]
 
@@ -11,16 +12,12 @@ def reach_backward(mgr, svs, targets):
     """Vertices of `svs` that can reach `targets` inside the subgraph on `svs`.
 
     Least fixpoint of ``X -> targets ∪ (pre(X) ∩ svs)``; uses at most
-    ``|result \\ targets| + 1`` predecessor operations.
+    ``|result \\ targets| + 1`` predecessor operations.  The backend runs
+    the loop (``closure``); it is charged as its manager calls count.
     """
-    acc = targets
-    front = targets
-    while True:
-        new = mgr.difference(mgr.intersect(mgr.pre(front), svs), acc)
-        if mgr.is_empty(new):
-            return acc
-        acc = mgr.union(acc, new)
-        front = new
+    acc, steps = mgr._b.closure(mgr._h(targets), mgr._h(svs))
+    mgr._charge(pre=steps, set_ops=3 * steps - 1)
+    return VertexSet(mgr, acc)
 
 
 def random_attractor(mgr, svs, targets, debug=False):

@@ -9,6 +9,7 @@ from .errors import UsageError
 from .report import RunReport
 from .scc import all_sccs
 from .symbolic import StepCounters, SymbolicManager
+from .thresholds import mec_threshold, streett_threshold
 
 __all__ = ["run_command", "oracle_matches", "COMMANDS"]
 
@@ -29,8 +30,11 @@ def run_command(command, model, pairs=None, algorithm="improved",
         raise UsageError(f"unknown command {command!r}")
     if pairs is None and command in ("streett-graph", "streett-mdp"):
         raise UsageError(f"{command} needs a pairs file")
-    mgr = SymbolicManager.from_model(model, backend=backend)
     improved = algorithm == "improved"
+    if improved and command != "scc":  # a bad threshold fails before set-up
+        resolve = mec_threshold if command == "mec" else streett_threshold
+        threshold = resolve(threshold, model.n, model.m)
+    mgr = SymbolicManager.from_model(model, backend=backend)
     if command == "scc":
         variant = "skeleton" if improved else "fwbw"
         start = time.perf_counter()

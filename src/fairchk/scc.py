@@ -22,13 +22,16 @@ of the split.
 
 The skeleton decomposition and the lock-step search are the hot kernels
 of every solve, so their inner loops run on raw backend handles rather
-than through the manager.  Each checks the ownership of its incoming
-handles at entry, counts its operations in local tallies, and charges
-them with ``mgr._charge`` (once per call, or once per lock-step round):
-exactly the counts the same sequence of manager calls would make, which a
-paused block (``mgr.counters_paused``) puts back when it ends.  Results
-are wrapped as `VertexSet` on the way out.  Backend methods are looked
-up at kernel entry, so patches on the backend classes take effect.
+than through the manager; the skeleton kernel's forward layers, spine
+walk and backward closure run inside the backend, as one call each of
+``layers``, ``spine`` and ``closure`` per recursion step.  Each kernel
+checks the ownership of its incoming handles at entry, counts its
+operations in local tallies, and charges them with ``mgr._charge`` (once
+per call, or once per lock-step round): exactly the counts the same
+sequence of manager calls would make, which a paused block
+(``mgr.counters_paused``) puts back when it ends.  Results are wrapped
+as `VertexSet` on the way out.  Backend methods, these three included,
+are looked up at kernel entry, so patches on the backend classes apply.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ def all_sccs(mgr, svs, variant="skeleton"):
 def _sccs_skeleton(mgr, svs):
     """Raw-handle SCC parts of raw handle `svs`, in discovery order."""
     b = mgr._b
-    pre, post = b.pre, b.post
-    union, intersect, difference = b.union, b.intersect, b.difference
+    pre, layers_of, spine_of, closure = b.pre, b.layers, b.spine, b.closure
+    intersect, difference = b.intersect, b.difference
     is_empty, min_vertex = b.is_empty, b.min_vertex
     singleton, from_ids = b.singleton, b.from_ids
     n_pre = n_post = n_set = n_pick = 0
@@ -76,44 +79,25 @@ def _sccs_skeleton(mgr, svs):
             n_pick += 1
 
         # Forward set of the pivot, one layer per step.
-        layers = []
-        fw = empty
-        layer = node
-        while not is_empty(layer):
-            layers.append(layer)
-            fw = union(fw, layer)
-            layer = difference(intersect(post(layer), vset), fw)
+        layers, fw = layers_of(node, vset)
         depth = len(layers)
         n_post += depth
         n_set += 3 * depth
 
         # Spine: a shortest path from the pivot to a deepest vertex.  Its
-        # vertices are built into one set at the end, charged as the
-        # depth - 1 unions that would join them one at a time.
-        v = min_vertex(layers[-1])
-        tip = hop = singleton(v)
-        ids = [v]
-        for prev in reversed(layers[:-1]):
-            v = min_vertex(intersect(pre(hop), prev))
-            hop = singleton(v)
-            ids.append(v)
+        # vertices are built into one set, charged as the depth - 1 unions
+        # that would join them one at a time.
+        ids = spine_of(layers)
+        tip = singleton(ids[0])
         new_spine = from_ids(ids)
         n_pick += depth
         n_pre += depth - 1
         n_set += 2 * (depth - 1)
 
         # The pivot's SCC: backward closure inside the forward set.
-        comp = node
-        front = node
-        while True:
-            new = difference(intersect(pre(front), fw), comp)
-            n_pre += 1
-            n_set += 2
-            if is_empty(new):
-                break
-            comp = union(comp, new)
-            n_set += 1
-            front = new
+        comp, steps = closure(node, fw)
+        n_pre += steps
+        n_set += 3 * steps - 1
         out.append(comp)
 
         # Outside the forward set the old spine minus the SCC remains a

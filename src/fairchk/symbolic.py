@@ -10,15 +10,16 @@ not part of that cost, such as debug assertions, runs inside
 :meth:`SymbolicManager.counters_paused`, which puts the counters back on
 exit to what they were on entry.
 
-The SCC kernels of :mod:`fairchk.scc` run their inner loops on the raw
-backend handles instead, to skip the per-operation handle allocation and
-ownership check.  They check the ownership of every incoming handle at
-entry, tally their operations locally, and charge, through
-:meth:`SymbolicManager._charge`, exactly what the same sequence of
-manager calls would have counted.
-
-The skeleton kernel builds the spine of ``d`` vertices once from its ids
-and charges it as the ``d - 1`` binary unions that would join them.
+The SCC kernels of :mod:`fairchk.scc`, ``reach.reach_backward`` and
+``model.bad_vertices`` run their inner loops on the raw backend handles
+instead, to skip the per-operation handle allocation and ownership check.
+They check the ownership of every incoming handle at entry, tally their
+operations locally, and charge, through :meth:`SymbolicManager._charge`,
+exactly what the same sequence of manager calls would have counted.  The
+skeleton kernel's three loops run inside the backend: besides the set
+operations, the backend protocol has ``layers``, ``spine`` and
+``closure``.  The kernel builds the spine of ``d`` vertices once from its
+ids and charges it as the ``d - 1`` binary unions that would join them.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -154,7 +155,9 @@ class _BitsetBackend:
     vertex of its argument.  On tuples, an argument of at most
     ``_BULK_CUTOVER`` vertices shifts in one bit per neighbour; a larger one
     marks the neighbours in a ``bytearray`` of ``b"0"``/``b"1"`` and turns
-    it into the result with one ``int(..., 2)``.
+    it into the result with one ``int(..., 2)``.  The skeleton kernel's
+    loops (``layers``, ``spine``, ``closure``) are int operators around one
+    ``pre`` or ``post`` per step; on masks ``spine`` reads ``in_masks``.
     """
 
     name = "bitset"
@@ -301,6 +304,39 @@ class _BitsetBackend:
 
     def is_empty(self, h):
         return h == 0
+
+    def layers(self, node, within):
+        """Forward layers of `node` inside `within`, and their union."""
+        out, fw, layer = [], 0, node
+        while layer:
+            out.append(layer)
+            fw |= layer
+            layer = self.post(layer) & within & ~fw
+        return out, fw
+
+    def spine(self, layers):
+        """Ids of a path back from the last layer's least vertex, each hop
+        to the least predecessor in the layer before."""
+        masks = self.in_masks
+        h = layers[-1]
+        v = (h & -h).bit_length() - 1
+        ids = [v]
+        for prev in reversed(layers[:-1]):
+            h = (self.pre(1 << v) if masks is None else masks[v]) & prev
+            v = (h & -h).bit_length() - 1
+            ids.append(v)
+        return ids
+
+    def closure(self, start, within):
+        """Backward closure of `start` inside `within`, and its count of
+        `pre` calls, the last one finding nothing new."""
+        comp, steps = start, 1
+        new = self.pre(start) & within & ~start
+        while new:
+            comp |= new
+            new = self.pre(new) & within & ~comp
+            steps += 1
+        return comp, steps
 
 
 class SymbolicManager:

@@ -247,3 +247,37 @@ class TestBadVertices:
             ),
         )
         assert mgr.is_empty(bad_vertices(mgr, mgr.universe, pairs))
+
+    def test_matches_handle_level_fold(self, backend):
+        """The raw-handle fold returns and charges what the same manager
+        calls do."""
+
+        def fold(mgr, svs, psets):
+            acc = None
+            for left, right in psets:
+                if mgr.is_empty(mgr.intersect(right, svs)):
+                    acc = left if acc is None else mgr.union(acc, left)
+            return mgr.empty() if acc is None else mgr.intersect(acc, svs)
+
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            edges = random_graph(rng, n, rng.randint(n, min(3 * n, n * n)))
+            model = Model("graph", n, tuple(edges), frozenset())
+            pairs = random_pairs(rng, n, rng.randint(0, 5), density=0.3)
+            ids = [v for v in range(n) if rng.random() < 0.6]
+            runs = []
+            for bad in (bad_vertices, fold):
+                mgr = mgr_for(model, backend)
+                psets = pair_sets(mgr, pairs)
+                got = bad(mgr, mgr.from_ids(ids), psets)
+                runs.append((mgr.to_ids(got), mgr.snapshot_counters()))
+            assert runs[0] == runs[1], (n, pairs, ids)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_foreign_pair_handle_rejected(self, f1, side):
+        mgr, other = mgr_for(f1), mgr_for(f1)
+        pair = [mgr.singleton(0), mgr.empty()]  # no grant, so both sides are read
+        pair[side] = other.from_ids(mgr.to_ids(pair[side]))
+        with pytest.raises(UsageError, match="different manager"):
+            bad_vertices(mgr, mgr.universe, [tuple(pair)])

@@ -112,10 +112,16 @@ def test_ops_match_bitset_backend(n):
                 bk.pre(a), bk.post(a), bk.cpre_random(a, bk.universe()),
                 bk.cpre_random(a, b),
             ]
+            # The skeleton kernel's loops, from v inside a ∪ {v}.
+            layers, fw = bk.layers(bk.singleton(v), bk.union(a, bk.singleton(v)))
+            closure, steps = bk.closure(b, a)
             results.append((
                 [bk.to_ids(h) for h in sets],
                 bk.card(a),
                 bk.min_vertex(a) if a_ids else None,
+                [bk.to_ids(h) for h in (*layers, fw, closure)],
+                bk.spine(layers),
+                steps,
             ))
         assert results[0] == results[1] == results[2], (n, a_ids, b_ids, v)
 

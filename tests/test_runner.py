@@ -95,3 +95,15 @@ def test_improved_run_rejects_threshold_zero(command):
     model, pairs = ROUTES[command][0](1)
     with pytest.raises(UsageError, match="positive integer"):
         run_command(command, model, pairs, algorithm="improved", threshold=0)
+
+
+@pytest.mark.parametrize("command", ["mec", "streett-graph", "streett-mdp"])
+def test_improved_run_rejects_threshold_before_building(command, monkeypatch):
+    # The manager checks and indexes every edge: too late to find out then.
+    def no_manager(*args, **kwargs):
+        raise AssertionError("manager built for a run that cannot start")
+
+    model, pairs = ROUTES[command][0](1)
+    monkeypatch.setattr(SymbolicManager, "from_model", no_manager)
+    with pytest.raises(UsageError, match="positive integer"):
+        run_command(command, model, pairs, algorithm="improved", threshold=0)

@@ -10,6 +10,7 @@ from fairchk.oracle import tarjan_scc
 
 from conftest import mgr_for
 from helpers import (
+    bitset_representation,
     lockstep_instance,
     reference_all_sccs,
     reference_lock_step_search,
@@ -224,6 +225,16 @@ def _run_kernels(model, backend, sccs, search, inputs, paused=False):
 class TestMatchesHandleLevelReference:
     """The raw-handle kernels return, charge and trace exactly what the
     same sequence of counted manager calls does."""
+
+    @pytest.fixture(params=["bitset", "obdd", "tuples"])
+    def backend(self, request):
+        """The two backends, and the bitset backend on neighbour tuples,
+        whose ``spine`` reads the predecessors through ``pre``."""
+        if request.param != "tuples":
+            yield request.param
+            return
+        with bitset_representation("tuples"):
+            yield "bitset"
 
     def test_sets_counters_and_trace(self, backend):
         for seed in range(REFERENCE_SEEDS):
