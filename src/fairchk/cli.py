@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -96,8 +95,9 @@ def _load_instances(args):
         sizes = [_parse_size(item) for item in args.sizes.split(",") if item.strip()]
         if not sizes or args.seeds < 1:
             raise UsageError("sweeps need at least one size and one seed")
-        if not (math.isfinite(args.edge_factor) and args.edge_factor >= 0):
-            raise UsageError("edge factor must be a non-negative number")
+        # A vertex has at most n successors; this also rejects nan and inf.
+        if not 0 <= args.edge_factor <= max(sizes):
+            raise UsageError(f"edge factor must lie in [0, {max(sizes)}]")
         for n in sizes:
             for seed in range(args.seeds):
                 model, pairs = generate_objects(

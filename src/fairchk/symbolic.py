@@ -35,6 +35,10 @@ Two interchangeable backends implement the same semantics:
 - ``obdd``: vertex sets are reduced ordered binary decision diagrams over
   the binary encoding of vertex ids (see :mod:`fairchk.obdd`).
 
+On both, ``cpre_random`` is one formula over two ``pre`` images: the
+random vertices of ``s`` with a successor in ``z & s``, and the player-1
+vertices of ``s`` with no successor in ``s - z``.
+
 Both backends are exact; a property of the package is that identical call
 sequences produce identical sets and identical counters on either backend.
 """
@@ -158,6 +162,8 @@ class _BitsetBackend:
     it into the result with one ``int(..., 2)``.  The skeleton kernel's
     loops (``layers``, ``spine``, ``closure``) are int operators around one
     ``pre`` or ``post`` per step; on masks ``spine`` reads ``in_masks``.
+    ``cpre_random`` is int operators around two ``pre`` calls, the formula
+    of ``ObddBackend.cpre_random``.
     """
 
     name = "bitset"
@@ -247,42 +253,9 @@ class _BitsetBackend:
         return acc
 
     def cpre_random(self, z, s):
-        # Direct per-vertex evaluation; deliberately not routed through
-        # pre() so tests can cross-check the two routes.
-        out = self.out_masks
-        if out is None:
-            return self._cpre_tuples(z, s)
-        acc = 0
         vr = self.vr_mask
-        not_z = ~z
-        t = s
-        while t:
-            b = t & -t
-            t ^= b
-            o = out[b.bit_length() - 1] & s
-            if b & vr:
-                if o & z:
-                    acc |= b
-            elif not (o & not_z):
-                # All successors inside s lie in z (vacuously true when
-                # the vertex has no successor inside s).
-                acc |= b
-        return acc
-
-    def _cpre_tuples(self, z, s):
-        """`cpre_random` on neighbour tuples, by the same per-vertex rule."""
-        n = self.n
-        in_z, in_s, is_random = (
-            format(h, f"0{n}b")[::-1] for h in (z, s, self.vr_mask)
-        )
-        buf = bytearray(b"0") * n
-        for v in _ids(s):
-            # Per successor inside s, whether it lies in z: a random vertex
-            # needs one, a player-1 vertex all (vacuously true for none).
-            inside = [in_z[u] == "1" for u in self.out_adj[v] if in_s[u] == "1"]
-            if (any if is_random[v] == "1" else all)(inside):
-                buf[v] = 49
-        return int(buf[::-1], 2)
+        escape = self.pre(s & ~z)
+        return (s & ~vr & ~escape) | (s & vr & self.pre(z & s))
 
     def union(self, a, b):
         return a | b
@@ -438,9 +411,7 @@ class SymbolicManager:
         return self._b.to_ids(self._h(z))
 
     def is_empty(self, z: VertexSet) -> bool:
-        if z.__class__ is not VertexSet or z.mgr is not self:
-            self._h(z)
-        return self._b.is_empty(z.h)
+        return self._b.is_empty(self._h(z))
 
     def contains(self, z: VertexSet, v: int) -> bool:
         h = self._h(z)
@@ -454,22 +425,18 @@ class SymbolicManager:
         return self._b.min_vertex(h)
 
     # -- counted symbolic operations --------------------------------------
-    #
-    # The hot methods test ownership inline and call `_h` only to raise.
 
     def pre(self, z: VertexSet) -> VertexSet:
         """One-step predecessors: vertices with a successor in `z`."""
-        if z.__class__ is not VertexSet or z.mgr is not self:
-            self._h(z)
+        h = self._h(z)
         self.counters.pre_ops += 1
-        return VertexSet(self, self._b.pre(z.h))
+        return VertexSet(self, self._b.pre(h))
 
     def post(self, z: VertexSet) -> VertexSet:
         """One-step successors: vertices with a predecessor in `z`."""
-        if z.__class__ is not VertexSet or z.mgr is not self:
-            self._h(z)
+        h = self._h(z)
         self.counters.post_ops += 1
-        return VertexSet(self, self._b.post(z.h))
+        return VertexSet(self, self._b.post(h))
 
     def cpre_random(self, z: VertexSet, within: VertexSet | None = None) -> VertexSet:
         """Controllable predecessor for the random player.
@@ -485,12 +452,9 @@ class SymbolicManager:
         return VertexSet(self, self._b.cpre_random(h, s))
 
     def union(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.__class__ is not VertexSet or a.mgr is not self:
-            self._h(a)
-        if b.__class__ is not VertexSet or b.mgr is not self:
-            self._h(b)
+        ha, hb = self._h(a), self._h(b)
         self.counters.set_ops += 1
-        return VertexSet(self, self._b.union(a.h, b.h))
+        return VertexSet(self, self._b.union(ha, hb))
 
     def union_all(self, sets) -> VertexSet:
         """Union of `sets`, one counted set operation per member.
@@ -506,20 +470,14 @@ class SymbolicManager:
         return VertexSet(self, acc)
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.__class__ is not VertexSet or a.mgr is not self:
-            self._h(a)
-        if b.__class__ is not VertexSet or b.mgr is not self:
-            self._h(b)
+        ha, hb = self._h(a), self._h(b)
         self.counters.set_ops += 1
-        return VertexSet(self, self._b.intersect(a.h, b.h))
+        return VertexSet(self, self._b.intersect(ha, hb))
 
     def difference(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.__class__ is not VertexSet or a.mgr is not self:
-            self._h(a)
-        if b.__class__ is not VertexSet or b.mgr is not self:
-            self._h(b)
+        ha, hb = self._h(a), self._h(b)
         self.counters.set_ops += 1
-        return VertexSet(self, self._b.difference(a.h, b.h))
+        return VertexSet(self, self._b.difference(ha, hb))
 
     def complement(self, a: VertexSet) -> VertexSet:
         ha = self._h(a)
@@ -533,9 +491,7 @@ class SymbolicManager:
 
     def pick(self, z: VertexSet) -> int:
         """An arbitrary vertex of `z`; deterministically the minimum id."""
-        if z.__class__ is not VertexSet or z.mgr is not self:
-            self._h(z)
-        h = z.h
+        h = self._h(z)
         if self._b.is_empty(h):
             raise UsageError("pick from empty set")
         self.counters.pick_ops += 1

@@ -153,9 +153,10 @@ class TestExitCodes:
              "--random-fraction", "2"),
             ("streett-graph", "--family", "random", "--edge-factor", "nan"),
             ("streett-graph", "--family", "random", "--k", "-1"),
+            ("streett-graph", "--family", "random", "--edge-factor", "1e308"),
         ],
         ids=["cycle-size", "cycle-size-above-n", "random-fraction", "edge-factor",
-             "k"],
+             "k", "edge-factor-huge"],
     )
     def test_bad_sweep_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

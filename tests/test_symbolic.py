@@ -227,24 +227,44 @@ def _random_model(rng, n):
 @settings(max_examples=120, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=64))
 def test_pre_matches_edge_enumeration(rng, n):
+    """`pre`, `post` and `cpre_random` against a per-vertex enumeration
+    of the edges, under both bitset representations."""
     model = _random_model(rng, n)
     targets = [[v for v in range(n) if rng.random() < 0.4], *sized_ids(rng, n)]
+    within = [v for v in range(n) if rng.random() < 0.6]
+    succ = {u: [] for u in range(n)}
+    for u, v in model.edges:
+        succ[u].append(v)
+
+    def cpre(z, s):
+        # A random vertex needs a successor in z ∩ s; a player-1 vertex
+        # needs every successor inside s to lie in z (vacuously, none).
+        return sorted(
+            u for u in s
+            if (any if u in model.random_vertices else all)(
+                v in z for v in succ[u] if v in s)
+        )
+
     for name in BITSET_REPRESENTATIONS:
         with bitset_representation(name):
             mgr = mgr_for(model)
         for target in targets:
             inside = set(target)
-            got = (ids(mgr, mgr.pre(mgr.from_ids(target))),
-                   ids(mgr, mgr.post(mgr.from_ids(target))))
+            z = mgr.from_ids(target)
+            got = (ids(mgr, mgr.pre(z)), ids(mgr, mgr.post(z)),
+                   ids(mgr, mgr.cpre_random(z)),
+                   ids(mgr, mgr.cpre_random(z, within=mgr.from_ids(within))))
             expected = (sorted({u for u, v in model.edges if v in inside}),
-                        sorted({v for u, v in model.edges if u in inside}))
+                        sorted({v for u, v in model.edges if u in inside}),
+                        cpre(inside, set(range(n))),
+                        cpre(inside, set(within)))
             assert got == expected, (name, target)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=16))
 def test_cpre_agrees_with_pre_formula(rng, n):
-    """The direct evaluation equals pre(Z) minus controlled escapers."""
+    """`cpre_random` equals pre(Z) minus the player-1 vertices escaping Z."""
     model = _random_model(rng, n)
     mgr = mgr_for(model)
     z = mgr.from_ids([v for v in range(n) if rng.random() < 0.4])
