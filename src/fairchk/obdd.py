@@ -21,9 +21,10 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-The backend protocol's skeleton-kernel loops ``layers``, ``spine`` and
-``closure`` run the ``dd`` operations of the backend calls they replace,
-in the same order, so the node table and the apply cache come out the same.
+The skeleton kernel's loops ``layers`` (its one breadth-first search, by
+``pre`` or ``post``) and ``spine`` run the ``dd`` operations of the
+backend calls they replace, in the same order (a union with the empty set
+writes nothing), so the node table and the apply cache come out the same.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
@@ -362,15 +363,15 @@ class ObddBackend:
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 
-    def layers(self, node, within):
-        """Forward layers of `node` inside `within`, and their union."""
+    def layers(self, image, start, within):
+        """Layers by `image` from `start` inside `within`, and their union."""
         dd = self.dd
-        out, fw, layer = [], _FALSE, node
+        out, seen, layer = [], _FALSE, start
         while layer != _FALSE:
             out.append(layer)
-            fw = dd.or_(fw, layer)
-            layer = dd.diff(dd.and_(self.post(layer), within), fw)
-        return out, fw
+            seen = dd.or_(seen, layer)
+            layer = dd.diff(dd.and_(image(layer), within), seen)
+        return out, seen
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop
@@ -381,15 +382,3 @@ class ObddBackend:
             v = self.min_vertex(self.dd.and_(self.pre(self._minterms[v]), prev))
             ids.append(v)
         return ids
-
-    def closure(self, start, within):
-        """Backward closure of `start` inside `within`, and its count of
-        `pre` calls, the last one finding nothing new."""
-        dd = self.dd
-        comp, steps = start, 1
-        new = dd.diff(dd.and_(self.pre(start), within), start)
-        while new != _FALSE:
-            comp = dd.or_(comp, new)
-            new = dd.diff(dd.and_(self.pre(new), within), comp)
-            steps += 1
-        return comp, steps

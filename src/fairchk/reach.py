@@ -13,9 +13,12 @@ def reach_backward(mgr, svs, targets):
 
     Least fixpoint of ``X -> targets ∪ (pre(X) ∩ svs)``; uses at most
     ``|result \\ targets| + 1`` predecessor operations.  The backend runs
-    the loop (``closure``); it is charged as its manager calls count.
+    the loop (``layers`` by ``pre``); it is charged as its manager calls count.
     """
-    acc, steps = mgr._b.closure(mgr._h(targets), mgr._h(svs))
+    layers, acc = mgr._b.layers(mgr._b.pre, mgr._h(targets), mgr._h(svs))
+    # Empty targets make no layer, but the manager loop still takes one
+    # `pre` (of the empty set) and two set operations to see that.
+    steps = len(layers) or 1
     mgr._charge(pre=steps, set_ops=3 * steps - 1)
     return VertexSet(mgr, acc)
 

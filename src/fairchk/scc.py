@@ -3,7 +3,7 @@
 `all_sccs` implements the skeleton-based decomposition: each recursion
 step computes the forward set of a pivot while recording its layers,
 extracts a shortest "spine" path through the layers, peels off the
-pivot's SCC by a backward closure inside the forward set, and recurses on
+pivot's SCC by a backward search inside the forward set, and recurses on
 the two remaining parts.  The spine's vertex set is built once from its
 ids, charged as the ``depth - 1`` binary unions that would join its
 vertices one at a time; on decision diagrams this makes only the spine's
@@ -22,16 +22,16 @@ of the split.
 
 The skeleton decomposition and the lock-step search are the hot kernels
 of every solve, so their inner loops run on raw backend handles rather
-than through the manager; the skeleton kernel's forward layers, spine
-walk and backward closure run inside the backend, as one call each of
-``layers``, ``spine`` and ``closure`` per recursion step.  Each kernel
+than through the manager; the skeleton kernel's two searches and spine
+walk run inside the backend, as ``layers`` by ``post``, ``spine``, and
+``layers`` by ``pre`` per recursion step.  Each kernel
 checks the ownership of its incoming handles at entry, counts its
 operations in local tallies, and charges them with ``mgr._charge`` (once
 per call, or once per lock-step round): exactly the counts the same
 sequence of manager calls would make, which a paused block
 (``mgr.counters_paused``) puts back when it ends.  Results are wrapped
-as `VertexSet` on the way out.  Backend methods, these three included,
-are looked up at kernel entry, so patches on the backend classes apply.
+as `VertexSet` on the way out.  Backend methods, these two included, are
+looked up at kernel entry, so patches on the backend classes apply.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def all_sccs(mgr, svs, variant="skeleton"):
 def _sccs_skeleton(mgr, svs):
     """Raw-handle SCC parts of raw handle `svs`, in discovery order."""
     b = mgr._b
-    pre, layers_of, spine_of, closure = b.pre, b.layers, b.spine, b.closure
+    pre, post, layers_of, spine_of = b.pre, b.post, b.layers, b.spine
     intersect, difference = b.intersect, b.difference
     is_empty, min_vertex = b.is_empty, b.min_vertex
     singleton, from_ids = b.singleton, b.from_ids
@@ -79,7 +79,7 @@ def _sccs_skeleton(mgr, svs):
             n_pick += 1
 
         # Forward set of the pivot, one layer per step.
-        layers, fw = layers_of(node, vset)
+        layers, fw = layers_of(post, node, vset)
         depth = len(layers)
         n_post += depth
         n_set += 3 * depth
@@ -94,8 +94,10 @@ def _sccs_skeleton(mgr, svs):
         n_pre += depth - 1
         n_set += 2 * (depth - 1)
 
-        # The pivot's SCC: backward closure inside the forward set.
-        comp, steps = closure(node, fw)
+        # The pivot's SCC: backward search inside the forward set, one `pre`
+        # per layer of the never-empty pivot, the last finding nothing new.
+        back, comp = layers_of(pre, node, fw)
+        steps = len(back)
         n_pre += steps
         n_set += 3 * steps - 1
         out.append(comp)

@@ -16,10 +16,11 @@ instead, to skip the per-operation handle allocation and ownership check.
 They check the ownership of every incoming handle at entry, tally their
 operations locally, and charge, through :meth:`SymbolicManager._charge`,
 exactly what the same sequence of manager calls would have counted.  The
-skeleton kernel's three loops run inside the backend: besides the set
-operations, the backend protocol has ``layers``, ``spine`` and
-``closure``.  The kernel builds the spine of ``d`` vertices once from its
-ids and charges it as the ``d - 1`` binary unions that would join them.
+backend protocol has, besides the set operations, the skeleton kernel's
+loops: ``spine``, and ``layers(image, start, within)``, one breadth-first
+search by ``pre`` or ``post`` that also serves ``reach_backward``.  The
+kernel builds each spine of ``d`` vertices once from its ids and charges
+it as the ``d - 1`` binary unions that would join them.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -160,8 +161,8 @@ class _BitsetBackend:
     ``_BULK_CUTOVER`` vertices shifts in one bit per neighbour; a larger one
     marks the neighbours in a ``bytearray`` of ``b"0"``/``b"1"`` and turns
     it into the result with one ``int(..., 2)``.  The skeleton kernel's
-    loops (``layers``, ``spine``, ``closure``) are int operators around one
-    ``pre`` or ``post`` per step; on masks ``spine`` reads ``in_masks``.
+    loops ``layers`` (both searches) and ``spine`` are int operators around
+    one ``pre`` or ``post`` per step; on masks ``spine`` reads ``in_masks``.
     ``cpre_random`` is int operators around two ``pre`` calls, the formula
     of ``ObddBackend.cpre_random``.
     """
@@ -278,14 +279,14 @@ class _BitsetBackend:
     def is_empty(self, h):
         return h == 0
 
-    def layers(self, node, within):
-        """Forward layers of `node` inside `within`, and their union."""
-        out, fw, layer = [], 0, node
+    def layers(self, image, start, within):
+        """Layers by `image` from `start` inside `within`, and their union."""
+        out, seen, layer = [], 0, start
         while layer:
             out.append(layer)
-            fw |= layer
-            layer = self.post(layer) & within & ~fw
-        return out, fw
+            seen |= layer
+            layer = image(layer) & within & ~seen
+        return out, seen
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop
@@ -299,17 +300,6 @@ class _BitsetBackend:
             v = (h & -h).bit_length() - 1
             ids.append(v)
         return ids
-
-    def closure(self, start, within):
-        """Backward closure of `start` inside `within`, and its count of
-        `pre` calls, the last one finding nothing new."""
-        comp, steps = start, 1
-        new = self.pre(start) & within & ~start
-        while new:
-            comp |= new
-            new = self.pre(new) & within & ~comp
-            steps += 1
-        return comp, steps
 
 
 class SymbolicManager:

@@ -112,16 +112,21 @@ def test_ops_match_bitset_backend(n):
                 bk.pre(a), bk.post(a), bk.cpre_random(a, bk.universe()),
                 bk.cpre_random(a, b),
             ]
-            # The skeleton kernel's loops, from v inside a ∪ {v}.
-            layers, fw = bk.layers(bk.singleton(v), bk.union(a, bk.singleton(v)))
-            closure, steps = bk.closure(b, a)
+            # The skeleton kernel's loops: the forward search from v inside
+            # a ∪ {v} and its spine, then both searches from b, possibly
+            # empty, inside a.  A search's layer count is its step count.
+            pivot = bk.singleton(v)
+            layers, fw = bk.layers(bk.post, pivot, bk.union(a, pivot))
+            searches = [bk.layers(image, b, a) for image in (bk.pre, bk.post)]
             results.append((
                 [bk.to_ids(h) for h in sets],
                 bk.card(a),
                 bk.min_vertex(a) if a_ids else None,
-                [bk.to_ids(h) for h in (*layers, fw, closure)],
+                [bk.to_ids(h) for h in (*layers, fw)],
                 bk.spine(layers),
-                steps,
+                [([bk.to_ids(h) for h in found], bk.to_ids(seen))
+                 for found, seen in searches],
+                bk.spine(searches[1][0]) if b_ids else None,
             ))
         assert results[0] == results[1] == results[2], (n, a_ids, b_ids, v)
 

@@ -16,7 +16,12 @@ from fairchk.model import Model
 from fairchk.oracle import explicit_almost_sure_reach, explicit_attractor
 
 from conftest import mgr_for
-from helpers import brute_almost_sure_reach, random_graph
+from helpers import (
+    BITSET_REPRESENTATIONS,
+    bitset_representation,
+    brute_almost_sure_reach,
+    random_graph,
+)
 
 
 class TestReachBackward:
@@ -41,6 +46,31 @@ class TestReachBackward:
         got = reach_backward(mgr, mgr.universe, mgr.from_ids([3]))
         delta = mgr.snapshot_counters() - before
         assert delta.pre_ops <= mgr.cardinality(got) - 1 + 1
+
+    def test_matches_manager_loop(self):
+        """Result and charge equal the least fixpoint run as counted manager
+        calls, on bit masks, neighbour tuples and decision diagrams, also
+        from empty targets and from targets outside `svs`."""
+        rng = random.Random(31)
+        for trial in range(40):
+            n = rng.randint(1, 40)
+            model = _random_mdp(rng, n)
+            svs_ids = [v for v in range(n) if rng.random() < 0.7]
+            outside = [v for v in range(n) if v not in svs_ids]
+            target_ids = (
+                [],
+                rng.sample(range(n), rng.randint(1, n)),
+                rng.sample(outside, min(2, len(outside))) + svs_ids[:1],
+            )
+            for name, mgr in _managers(model):
+                for t_ids in target_ids:
+                    svs, targets = mgr.from_ids(svs_ids), mgr.from_ids(t_ids)
+                    runs = []
+                    for reach in (reach_backward, _manager_reach_backward):
+                        before = mgr.snapshot_counters()
+                        got = reach(mgr, svs, targets)
+                        runs.append((mgr.to_ids(got), mgr.snapshot_counters() - before))
+                    assert runs[0] == runs[1], (trial, name, svs_ids, t_ids)
 
 
 class TestRandomAttractor:
@@ -100,6 +130,27 @@ class TestAlmostSureReach:
         with mgr.counters_paused():
             plain = reach_backward(mgr, mgr.universe, targets)
         assert almost_sure_reach(mgr, f2, targets) == plain
+
+
+def _managers(model):
+    """Managers of `model` on bit masks, neighbour tuples and OBDDs."""
+    for name in BITSET_REPRESENTATIONS:
+        with bitset_representation(name):
+            mgr = mgr_for(model)
+        yield name, mgr
+    yield "obdd", mgr_for(model, "obdd")
+
+
+def _manager_reach_backward(mgr, svs, targets):
+    """`reach_backward` as counted manager calls: ``pre``, ``intersect``,
+    ``difference`` first, then ``union``, ``pre``, ``intersect``,
+    ``difference`` per step."""
+    acc = targets
+    new = mgr.difference(mgr.intersect(mgr.pre(targets), svs), targets)
+    while not mgr.is_empty(new):
+        acc = mgr.union(acc, new)
+        new = mgr.difference(mgr.intersect(mgr.pre(new), svs), acc)
+    return acc
 
 
 def _random_mdp(rng, n):
