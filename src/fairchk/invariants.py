@@ -1,17 +1,18 @@
 """Debug-mode invariant assertions for the decomposition algorithms.
 
-All checks run with counters paused and, where strong connectivity is
-involved, validate against the explicit SCC oracle rather than the
+The refinement loops call them, the lock-step search's pre- and
+postcondition (:func:`check_start_cover`, :func:`check_extremal`)
+included.  All run with counters paused, and every strong-connectivity
+or top/bottom-SCC fact comes from :mod:`fairchk.oracle`, never from the
 symbolic machinery under test.  Enabled through the ``debug`` flag of
 the algorithms (``--debug-invariants`` on the command line).
 """
 
 from __future__ import annotations
 
-from . import oracle
+from . import oracle, reach
 from .errors import InvariantViolation
 from .model import bad_vertices
-from .reach import random_escapes
 
 __all__ = [
     "check_candidate",
@@ -19,6 +20,7 @@ __all__ = [
     "check_no_random_escape",
     "check_end_component",
     "check_start_cover",
+    "check_extremal",
 ]
 
 
@@ -39,13 +41,13 @@ def check_disjoint(mgr, sets):
             seen = mgr.union(seen, svs)
 
 
-def check_no_random_escape(mgr, svs):
-    """No random vertex of `svs` may have an edge leaving `svs`."""
+def check_no_random_escape(mgr, svs, allowed):
+    """No random vertex of `svs` outside `allowed` has an edge leaving `svs`."""
     with mgr.counters_paused():
-        escapes = random_escapes(mgr, svs, mgr.universe)
-        if not mgr.is_empty(escapes):
+        stray = mgr.difference(reach.random_escapes(mgr, svs, mgr.universe), allowed)
+        if not mgr.is_empty(stray):
             raise InvariantViolation(
-                f"random vertices with outgoing edges: {mgr.to_ids(escapes)}"
+                f"random vertices with outgoing edges: {mgr.to_ids(stray)}"
             )
 
 
@@ -66,7 +68,7 @@ def check_end_component(mgr, model, svs, psets=()):
             raise InvariantViolation("accepted component has no edge")
         if not mgr.is_empty(bad_vertices(mgr, svs, psets)):
             raise InvariantViolation("accepted component has bad vertices")
-    check_no_random_escape(mgr, svs)
+    check_no_random_escape(mgr, svs, mgr.empty())
 
 
 def check_start_cover(mgr, model, svs, lost_in, lost_out):
@@ -75,33 +77,33 @@ def check_start_cover(mgr, model, svs, lost_in, lost_out):
     Nonempty lost-in sets must hit every top SCC of the induced subgraph,
     nonempty lost-out sets every bottom SCC; with both empty the subgraph
     must be strongly connected.  This is the contract under which the
-    lock-step search returns a top or bottom SCC.
+    lock-step search returns a top or bottom SCC (:func:`check_extremal`).
     """
     with mgr.counters_paused():
         svs_ids = mgr.to_ids(svs)
         in_ids = set(mgr.to_ids(lost_in))
         out_ids = set(mgr.to_ids(lost_out))
-    inside = set(svs_ids)
-    parts = oracle.tarjan_scc(model, svs_ids)
-    if not in_ids and not out_ids:
-        if len(parts) != 1:
-            raise InvariantViolation(
-                "no lost-edge witnesses but the candidate is not strongly connected"
-            )
-        return
-    adj = model.out_adjacency()
-    radj = model.in_adjacency()
-    for comp in parts:
-        members = set(comp)
-        if in_ids:
-            top = not any(
-                u in inside and u not in members for v in comp for u in radj[v]
-            )
-            if top and not (members & in_ids):
-                raise InvariantViolation(f"top SCC {comp} not covered by lost-in")
-        if out_ids:
-            bottom = not any(
-                w in inside and w not in members for v in comp for w in adj[v]
-            )
-            if bottom and not (members & out_ids):
-                raise InvariantViolation(f"bottom SCC {comp} not covered by lost-out")
+    if not (in_ids or out_ids) and len(oracle.tarjan_scc(model, svs_ids)) != 1:
+        raise InvariantViolation(
+            "no lost-edge witnesses but the candidate is not strongly connected"
+        )
+    tops, bottoms = oracle.top_bottom_sccs(model, svs_ids)
+    for comp in tops if in_ids else ():
+        if not in_ids.intersection(comp):
+            raise InvariantViolation(f"top SCC {comp} not covered by lost-in")
+    for comp in bottoms if out_ids else ():
+        if not out_ids.intersection(comp):
+            raise InvariantViolation(f"bottom SCC {comp} not covered by lost-out")
+
+
+def check_extremal(mgr, model, svs, comp):
+    """The lock-step result `comp` is a top or a bottom SCC of the subgraph
+    on `svs`, certified against the explicit SCCs."""
+    with mgr.counters_paused():
+        comp_ids = mgr.to_ids(comp)
+        svs_ids = mgr.to_ids(svs)
+    tops, bottoms = oracle.top_bottom_sccs(model, svs_ids)
+    if comp_ids not in tops and comp_ids not in bottoms:
+        raise InvariantViolation(
+            f"lock-step result {comp_ids} is neither a top nor a bottom SCC"
+        )

@@ -36,6 +36,7 @@ __all__ = [
     "has_edge",
     "pair_sets",
     "first_sink",
+    "neighbour_tuples",
 ]
 
 
@@ -54,6 +55,16 @@ def first_sink(n, edges):
         has_edge[u] = 1
     sink = has_edge.find(0)
     return None if sink < 0 else sink
+
+
+def neighbour_tuples(n, pairs):
+    """Per vertex u of ``range(n)``, the tuple of all v with (u, v) in `pairs`."""
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+    for u, vs in enumerate(adj):
+        adj[u] = tuple(vs)  # frees each list as its tuple is made
+    return tuple(adj)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,17 +110,11 @@ class Model:
             raise ModelError(f"vertex {sink} has no outgoing edge")
         return self
 
-    def out_adjacency(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        return adj
+    def out_adjacency(self) -> tuple:
+        return neighbour_tuples(self.n, self.edges)
 
-    def in_adjacency(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        return adj
+    def in_adjacency(self) -> tuple:
+        return neighbour_tuples(self.n, ((v, u) for u, v in self.edges))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,14 +1,17 @@
-"""Explicit reference implementations used as ground truth in tests.
+"""Explicit references used as ground truth in tests and in the debug checks.
 
-Everything here works on plain adjacency lists and Python sets, shares no
-code with the symbolic layer, and favors obvious correctness over speed.
-Intended for desk-scale inputs (tests cap these at n <= 64).
+Everything here works on adjacency tuples and Python sets, shares no code
+with the symbolic layer but the adjacency builder `model.neighbour_tuples`
+(which of the backends only the bitset one on tuples uses), and favors
+obvious correctness over speed.  Intended for desk-scale inputs (tests
+cap these at n <= 64).
 """
 
 from __future__ import annotations
 
 __all__ = [
     "tarjan_scc",
+    "top_bottom_sccs",
     "explicit_attractor",
     "explicit_almost_sure_reach",
     "explicit_mec",
@@ -75,6 +78,24 @@ def tarjan_scc(model, subset=None) -> list:
             strongconnect(v)
     components.sort(key=lambda comp: comp[0])
     return components
+
+
+def top_bottom_sccs(model, subset=None) -> tuple:
+    """The top and the bottom SCCs of the subgraph induced by `subset`, in
+    :func:`tarjan_scc` order: no edge of the subgraph enters a top SCC
+    from outside it, none leaves a bottom SCC."""
+    parts = tarjan_scc(model, subset)
+    inside = {v for comp in parts for v in comp}
+    adj = model.out_adjacency()
+    radj = model.in_adjacency()
+    tops, bottoms = [], []
+    for comp in parts:
+        members = set(comp)
+        if not any(u in inside and u not in members for v in comp for u in radj[v]):
+            tops.append(comp)
+        if not any(w in inside and w not in members for v in comp for w in adj[v]):
+            bottoms.append(comp)
+    return tops, bottoms
 
 
 def _reach_backward(adj_in, inside, targets):

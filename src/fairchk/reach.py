@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InvariantViolation
+from . import invariants
 from .symbolic import VertexSet
 
 __all__ = ["reach_backward", "random_attractor", "random_escapes", "almost_sure_reach"]
@@ -41,23 +41,13 @@ def random_attractor(mgr, svs, targets, debug=False):
     closed under the restricted controllable predecessor.
     """
     if debug:
-        _check_random_escapes_covered(mgr, svs, targets)
+        invariants.check_no_random_escape(mgr, svs, targets)
     acc = targets
     while True:
         grown = mgr.union(acc, mgr.cpre_random(acc, within=svs))
         if grown == acc:
             return acc
         acc = grown
-
-
-def _check_random_escapes_covered(mgr, svs, targets):
-    with mgr.counters_paused():
-        stray = mgr.difference(random_escapes(mgr, svs, mgr.universe), targets)
-        if not mgr.is_empty(stray):
-            raise InvariantViolation(
-                "random vertices with edges leaving the attractor universe "
-                f"are not part of the target set: {mgr.to_ids(stray)}"
-            )
 
 
 def random_escapes(mgr, part, whole):

@@ -64,7 +64,7 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
             rounds += 1
             rest = mgr.difference(svs, attract(svs, removed))
             if debug:
-                invariants.check_no_random_escape(mgr, rest)
+                invariants.check_no_random_escape(mgr, rest, mgr.empty())
             pending.extend(decompose(rest))
         elif accepts(svs):
             if debug:
@@ -145,7 +145,7 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
             lost_in, lost_out = boundary(svs, removed, lost_in, lost_out)
             bad = empty if mec else removal(svs)
         if debug:
-            invariants.check_no_random_escape(mgr, svs)
+            invariants.check_no_random_escape(mgr, svs, empty)
 
         if not has_edge(mgr, svs):
             continue
@@ -168,9 +168,9 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
             events["lockstep"] += 1
             if debug:
                 invariants.check_start_cover(mgr, model, svs, lost_in, lost_out)
-            comp, lost_in, lost_out = lock_step_search(
-                mgr, svs, lost_in, lost_out, debug=debug
-            )
+            comp, lost_in, lost_out = lock_step_search(mgr, svs, lost_in, lost_out)
+            if debug:
+                invariants.check_extremal(mgr, model, svs, comp)
             if mec:
                 if has_edge(mgr, comp):
                     accept(comp)

@@ -36,7 +36,7 @@ looked up at kernel entry, so patches on the backend classes apply.
 
 from __future__ import annotations
 
-from .errors import UsageError, InvariantViolation
+from .errors import UsageError
 from .symbolic import VertexSet
 
 __all__ = ["all_sccs", "lock_step_search"]
@@ -154,7 +154,7 @@ def _sccs_fwbw(mgr, svs):
     return out
 
 
-def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
+def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
     """Find a top or bottom SCC of the subgraph on `svs` by lock-step search.
 
     Backward searches start from every vertex of `lost_in`, forward
@@ -165,12 +165,12 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
     stops growing returns its set, together with the pruned start sets.
 
     The caller establishes the start-vertex sufficiency invariant (see
-    :func:`fairchk.invariants.check_start_cover`); with `debug` the
-    result is checked to be a top or bottom SCC.  `trace`, when given a
-    list, receives one record per round with the live search counts and
-    the one-step operations of the round.  These are the round's counts
-    also inside ``mgr.counters_paused``, where the counters move until
-    the block ends.
+    :func:`fairchk.invariants.check_start_cover`) and, in debug mode,
+    checks the result with :func:`fairchk.invariants.check_extremal`.
+    `trace`, when given a list, receives one record per round with the
+    live search counts and the one-step operations of the round.  These
+    are the round's counts also inside ``mgr.counters_paused``, where the
+    counters move until the block ends.
     """
     s = mgr._h(svs)
     alive = [mgr._h(lost_in), mgr._h(lost_out)]
@@ -235,24 +235,6 @@ def lock_step_search(mgr, svs, lost_in, lost_out, debug=False, trace=None):
             trace.append({"live_in": len(rounds[0]), "live_out": len(rounds[1]),
                           "pre_ops": n_pre, "post_ops": n_post})
         if found is not None:
-            comp = VertexSet(mgr, found)
-            if debug:
-                _check_extremal(mgr, svs, comp)
-            return comp, VertexSet(mgr, pruned[0]), VertexSet(mgr, pruned[1])
+            return tuple(VertexSet(mgr, h) for h in (found, *pruned))
         alive = pruned
 
-
-def _check_extremal(mgr, svs, comp):
-    with mgr.counters_paused():
-        if len(all_sccs(mgr, comp)) != 1:
-            raise InvariantViolation(
-                f"lock-step result {mgr.to_ids(comp)} is not strongly connected"
-            )
-        others = mgr.difference(svs, comp)
-        incoming = mgr.intersect(mgr.pre(comp), others)
-        outgoing = mgr.intersect(mgr.post(comp), others)
-        if not (mgr.is_empty(incoming) or mgr.is_empty(outgoing)):
-            raise InvariantViolation(
-                f"lock-step result {mgr.to_ids(comp)} is neither a top nor "
-                "a bottom SCC"
-            )

@@ -50,7 +50,7 @@ import dataclasses
 from contextlib import contextmanager
 
 from .errors import UsageError
-from .model import first_sink
+from .model import first_sink, neighbour_tuples
 
 __all__ = ["StepCounters", "VertexSet", "SymbolicManager"]
 
@@ -141,16 +141,6 @@ def _ids(h):
     return out
 
 
-def _neighbour_tuples(n, pairs):
-    """Per vertex u of ``range(n)``, the tuple of all v with (u, v) in `pairs`."""
-    adj = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-    for u, vs in enumerate(adj):
-        adj[u] = tuple(vs)  # frees each list as its tuple is made
-    return tuple(adj)
-
-
 class _BitsetBackend:
     """Vertex sets as integer bit masks; adjacency as masks or id tuples.
 
@@ -183,8 +173,8 @@ class _BitsetBackend:
             self.out_adj = self.in_adj = None
         else:
             self.out_masks = self.in_masks = None
-            self.out_adj = _neighbour_tuples(n, edges)
-            self.in_adj = _neighbour_tuples(n, ((v, u) for u, v in edges))
+            self.out_adj = neighbour_tuples(n, edges)
+            self.in_adj = neighbour_tuples(n, ((v, u) for u, v in edges))
         vr = 0
         for v in random_vertices:
             vr |= 1 << v

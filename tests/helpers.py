@@ -18,7 +18,7 @@ import pytest
 from fairchk import symbolic
 from fairchk.generate import random_edges as random_graph
 from fairchk.model import Model, StreettPairs
-from fairchk.oracle import tarjan_scc
+from fairchk.oracle import tarjan_scc, top_bottom_sccs
 
 # The bitset backend's two adjacency representations, each with the value
 # of the selection bound `symbolic._MASK_MAX_N` that forces it for every n.
@@ -109,34 +109,19 @@ def lockstep_instance(seed, n_max=24):
     m = rng.randint(n, min(3 * n, n * n))
     model = Model("graph", n, tuple(random_graph(rng, n, m)), frozenset()).validate()
     svs = sorted(rng.sample(range(n), rng.randint(1, n)))
-    inside = set(svs)
-    adj = model.out_adjacency()
-    radj = model.in_adjacency()
+    tops, bottoms = top_bottom_sccs(model, svs)
     lost_in, lost_out = [], []
+    # SCC by SCC in `tarjan_scc` order, a top's draw before a bottom's: the
+    # order of the draws fixes every instance that the tests have seen.
     for comp in tarjan_scc(model, svs):
-        members = set(comp)
-        if not any(u in inside and u not in members for v in comp for u in radj[v]):
+        if comp in tops:
             lost_in.append(rng.choice(comp))
-        if not any(w in inside and w not in members for v in comp for w in adj[v]):
+        if comp in bottoms:
             lost_out.append(rng.choice(comp))
     for v in svs:
         if rng.random() < 0.08:
             (lost_in if rng.random() < 0.5 else lost_out).append(v)
     return model, svs, sorted(set(lost_in)), sorted(set(lost_out))
-
-
-def top_bottom_sccs(model, svs):
-    inside = set(svs)
-    adj = model.out_adjacency()
-    radj = model.in_adjacency()
-    tops, bottoms = [], []
-    for comp in tarjan_scc(model, svs):
-        members = set(comp)
-        if not any(u in inside and u not in members for v in comp for u in radj[v]):
-            tops.append(comp)
-        if not any(w in inside and w not in members for v in comp for w in adj[v]):
-            bottoms.append(comp)
-    return tops, bottoms
 
 
 # -- handle-level reference kernels ----------------------------------------
@@ -324,13 +309,10 @@ def brute_almost_sure_reach(model, targets):
             succ[v] = [v]
         chain_edges = tuple(sorted({(u, w) for u in range(model.n) for w in succ[u]}))
         chain = Model("graph", model.n, chain_edges, frozenset())
-        cadj = chain.out_adjacency()
         doomed = set()
-        for comp in tarjan_scc(chain):
-            members = set(comp)
-            bottom = all(w in members for u in comp for w in cadj[u])
-            if bottom and not (members & targets):
-                doomed |= members
+        for comp in top_bottom_sccs(chain)[1]:
+            if not targets.intersection(comp):
+                doomed.update(comp)
         radj = chain.in_adjacency()
         stack = list(doomed)
         while stack:

@@ -35,9 +35,13 @@ def test_disjoint(f2, backend):
 def test_no_random_escape(f3, backend):
     # Random vertex 1 has the edge 1 -> 2 out of {0, 1}.
     mgr = mgr_for(f3, backend)
-    invariants.check_no_random_escape(mgr, mgr.from_ids([2]))
+    ids, empty = mgr.from_ids, mgr.empty()
+    invariants.check_no_random_escape(mgr, ids([2]), empty)
+    invariants.check_no_random_escape(mgr, ids([0, 1]), ids([1]))
     with pytest.raises(InvariantViolation, match=r"outgoing edges: \[1\]"):
-        invariants.check_no_random_escape(mgr, mgr.from_ids([0, 1]))
+        invariants.check_no_random_escape(mgr, ids([0, 1]), empty)
+    with pytest.raises(InvariantViolation, match=r"outgoing edges: \[1\]"):
+        invariants.check_no_random_escape(mgr, ids([0, 1]), ids([0]))
 
 
 def test_end_component(f1, f2, f3, backend):
@@ -71,6 +75,27 @@ def test_start_cover(f2, backend):
         invariants.check_start_cover(mgr, f2, mgr.universe, empty, ids([0]))
     with pytest.raises(InvariantViolation, match="not strongly connected"):
         invariants.check_start_cover(mgr, f2, mgr.universe, empty, empty)
+
+
+def test_extremal(f2, backend):
+    # Top SCC {0, 1}, bottom SCC {2, 3}.
+    mgr = mgr_for(f2, backend)
+    ids = mgr.from_ids
+    invariants.check_extremal(mgr, f2, mgr.universe, ids([0, 1]))
+    invariants.check_extremal(mgr, f2, mgr.universe, ids([2, 3]))
+    with pytest.raises(InvariantViolation, match=r"\[1, 2\] is neither"):
+        invariants.check_extremal(mgr, f2, mgr.universe, ids([1, 2]))
+    # A chain of three SCCs: {2, 3} is neither top nor bottom in the
+    # whole graph, but top without {0, 1} and bottom without {4, 5}.
+    chain = parse_model(
+        "graph 6\ne 0 1\ne 1 0\ne 1 2\ne 2 3\ne 3 2\ne 3 4\ne 4 5\ne 5 4\n"
+    )
+    mgr = mgr_for(chain, backend)
+    ids = mgr.from_ids
+    with pytest.raises(InvariantViolation, match=r"\[2, 3\] is neither"):
+        invariants.check_extremal(mgr, chain, mgr.universe, ids([2, 3]))
+    invariants.check_extremal(mgr, chain, ids([2, 3, 4, 5]), ids([2, 3]))
+    invariants.check_extremal(mgr, chain, ids([0, 1, 2, 3]), ids([2, 3]))
 
 
 def test_separation_attractor_on_graphs(f2, backend):

@@ -6,6 +6,7 @@ from fairchk.oracle import (
     explicit_streett_graph,
     explicit_streett_mdp,
     tarjan_scc,
+    top_bottom_sccs,
 )
 
 from helpers import (
@@ -34,6 +35,20 @@ class TestTarjan:
         edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
         model = Model("graph", n, edges, frozenset())
         assert tarjan_scc(model) == [sorted(range(n))]
+
+
+class TestTopBottomSccs:
+    def test_two_components(self, f2):
+        assert top_bottom_sccs(f2) == ([[0, 1]], [[2, 3]])
+
+    def test_single_component_is_both(self, f1):
+        assert top_bottom_sccs(f1) == ([[0, 1, 2]], [[0, 1, 2]])
+
+    def test_subgraph(self, f2):
+        # Inside {0, 1, 2} the edge 2 -> 3 leaves the subgraph and counts
+        # for nothing.
+        assert top_bottom_sccs(f2, [0, 1, 2]) == ([[0, 1]], [[2]])
+        assert top_bottom_sccs(f2, []) == ([], [])
 
 
 class TestExplicitMec:

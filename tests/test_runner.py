@@ -3,7 +3,8 @@
 Every route (four commands, two algorithms, two backends) must give the
 report of the direct call: the same algorithm name, result, counters,
 preprocessing and events.  `oracle_matches` must accept each report and
-reject it once its result is altered.
+reject it once its result is altered.  The debug checks must leave every
+report as the plain run gives it.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from fairchk import (
 from helpers import graph_instance, mdp_instance
 
 SEEDS = range(6)
+DEBUG_SEEDS = range(200)
 
 
 def _scc(variant):
@@ -78,6 +80,22 @@ def test_route_gives_the_direct_report(command, algorithm, backend):
         assert _fields(report) == _fields(direct[algorithm](mgr, model, pairs)), seed
         assert oracle_matches(command, model, pairs, report), seed
         assert not oracle_matches(command, model, pairs, _altered(report, model.n)), seed
+
+
+def test_debug_checks_change_no_report(backend):
+    # Every debug check runs uncounted.  Thresholds 1 and 10**9 send the
+    # improved algorithms down the SCC-split and the lock-step branch.
+    runs = [("basic", "auto"), ("improved", 1), ("improved", 10**9)]
+    for command in ("mec", "streett-graph", "streett-mdp"):
+        for seed in DEBUG_SEEDS:
+            model, pairs = ROUTES[command][0](seed)
+            for algorithm, threshold in runs:
+                plain, checked = (
+                    run_command(command, model, pairs, algorithm=algorithm,
+                                backend=backend, threshold=threshold, debug=debug)
+                    for debug in (False, True)
+                )
+                assert _fields(checked) == _fields(plain), (command, seed, threshold)
 
 
 @pytest.mark.parametrize("command", list(ROUTES))
