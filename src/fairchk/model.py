@@ -79,6 +79,7 @@ class Model:
     n: int
     edges: tuple
     random_vertices: frozenset
+    _checked = False  # not a field: set once every check has passed
 
     @property
     def m(self) -> int:
@@ -108,6 +109,7 @@ class Model:
         sink = first_sink(self.n, self.edges)
         if sink is not None:
             raise ModelError(f"vertex {sink} has no outgoing edge")
+        object.__setattr__(self, "_checked", True)
         return self
 
     def out_adjacency(self) -> tuple:

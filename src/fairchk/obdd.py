@@ -232,6 +232,7 @@ class ObddBackend:
                 spread[u] |= (u >> i & 1) << 2 * i
         words = sorted(spread[u] << 1 | spread[v] for u, v in edges)
         self._edge_rel = self._from_words(words, 0, len(words), 2 * self.bits, 1)
+        self._loops = self._set_from_sorted(sorted(u for u, v in edges if u == v))
         self.vr = self._set_from_sorted(sorted(set(random_vertices)))
         self.v1 = self.dd.diff(self._domain, self.vr)
 
@@ -360,6 +361,12 @@ class ObddBackend:
 
     def is_empty(self, h):
         return h == _FALSE
+
+    def is_single(self, h):
+        return h != _FALSE and h == self._minterms[self.min_vertex(h)]
+
+    def loops(self, h):
+        return self.dd.and_(h, self._loops)
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 

@@ -3,8 +3,9 @@
 Everything here works on adjacency tuples and Python sets, shares no code
 with the symbolic layer but the adjacency builder `model.neighbour_tuples`
 (which of the backends only the bitset one on tuples uses), and favors
-obvious correctness over speed.  Intended for desk-scale inputs (tests
-cap these at n <= 64).
+obvious correctness over speed.  Each public function builds the model's
+adjacency once and hands it to the helpers it calls.  Intended for
+desk-scale inputs (tests cap these at n <= 64).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ def tarjan_scc(model, subset=None) -> list:
     Iterative Tarjan; components are returned sorted by minimum vertex,
     vertices sorted within each component.
     """
-    if subset is None:
-        subset = range(model.n)
-    inside = set(subset)
-    adj = model.out_adjacency()
+    return _tarjan(model.out_adjacency(), subset)
+
+
+def _tarjan(adj, subset=None):
+    inside = set(range(len(adj)) if subset is None else subset)
     index = {}
     lowlink = {}
     on_stack = set()
@@ -84,10 +86,10 @@ def top_bottom_sccs(model, subset=None) -> tuple:
     """The top and the bottom SCCs of the subgraph induced by `subset`, in
     :func:`tarjan_scc` order: no edge of the subgraph enters a top SCC
     from outside it, none leaves a bottom SCC."""
-    parts = tarjan_scc(model, subset)
-    inside = {v for comp in parts for v in comp}
     adj = model.out_adjacency()
     radj = model.in_adjacency()
+    parts = _tarjan(adj, subset)
+    inside = {v for comp in parts for v in comp}
     tops, bottoms = [], []
     for comp in parts:
         members = set(comp)
@@ -117,15 +119,18 @@ def explicit_attractor(model, inside, targets) -> set:
     and player-1 vertices all of whose successors inside `inside` are in
     the attractor (vacuously, player-1 vertices with no such successor).
     """
+    return _attractor(model.out_adjacency(), model.random_vertices, inside, targets)
+
+
+def _attractor(adj, random_vertices, inside, targets):
     inside = set(inside)
-    adj = model.out_adjacency()
     attr = set(targets) & inside
     changed = True
     while changed:
         changed = False
         for v in inside - attr:
             succ = [w for w in adj[v] if w in inside]
-            if v in model.random_vertices:
+            if v in random_vertices:
                 pull = any(w in attr for w in succ)
             else:
                 pull = all(w in attr for w in succ)
@@ -143,10 +148,13 @@ def explicit_almost_sure_reach(model, targets) -> set:
     arrival, so they are never pruned (equivalently, targets are treated
     as absorbing).
     """
+    return _almost_sure_reach(model.out_adjacency(), model.in_adjacency(),
+                              model.random_vertices, targets)
+
+
+def _almost_sure_reach(adj, adj_in, random_vertices, targets):
     targets = set(targets)
-    adj = model.out_adjacency()
-    adj_in = model.in_adjacency()
-    cur = set(range(model.n))
+    cur = set(range(len(adj)))
     while True:
         reaching = _reach_backward(adj_in, cur, targets & cur)
         dead = cur - reaching
@@ -159,7 +167,7 @@ def explicit_almost_sure_reach(model, targets) -> set:
             for v in cur - attr:
                 if v in targets:
                     continue
-                if v in model.random_vertices:
+                if v in random_vertices:
                     pull = any(w in attr or w not in cur for w in adj[v])
                 else:
                     pull = all(w in attr or w not in cur for w in adj[v])
@@ -169,31 +177,32 @@ def explicit_almost_sure_reach(model, targets) -> set:
         cur -= attr
 
 
-def _has_internal_edge(model, subset):
+def _has_internal_edge(adj, subset):
     subset = set(subset)
-    return any(u in subset and v in subset for u, v in model.edges)
+    return any(w in subset for v in subset for w in adj[v])
 
 
 def explicit_mec(model, universe=None) -> list:
     """Maximal end-component decomposition, sorted by minimum vertex."""
-    if universe is None:
-        universe = range(model.n)
-    adj = model.out_adjacency()
+    return _mec(model.out_adjacency(), model.random_vertices, universe)
+
+
+def _mec(adj, random_vertices, universe=None):
     mecs = []
-    work = [set(c) for c in tarjan_scc(model, universe)]
+    work = [set(c) for c in _tarjan(adj, universe)]
     while work:
         part = work.pop()
         if not part:
             continue
         rout = {
             v
-            for v in part & model.random_vertices
+            for v in part & random_vertices
             if any(w not in part for w in adj[v])
         }
         if rout:
-            rest = part - explicit_attractor(model, part, rout)
-            work.extend(set(c) for c in tarjan_scc(model, rest))
-        elif _has_internal_edge(model, part):
+            rest = part - _attractor(adj, random_vertices, part, rout)
+            work.extend(set(c) for c in _tarjan(adj, rest))
+        elif _has_internal_edge(adj, part):
             mecs.append(sorted(part))
     mecs.sort(key=lambda comp: comp[0])
     return mecs
@@ -210,15 +219,16 @@ def _bad(pairs, subset):
 
 def explicit_streett_graph(model, pairs) -> list:
     """Winning set of a graph for the strong-fairness objective."""
+    adj = model.out_adjacency()
     adj_in = model.in_adjacency()
     good = []
-    work = [set(c) for c in tarjan_scc(model)]
+    work = [set(c) for c in _tarjan(adj)]
     while work:
         part = work.pop()
         bad = _bad(pairs, part)
         if bad:
-            work.extend(set(c) for c in tarjan_scc(model, part - bad))
-        elif _has_internal_edge(model, part):
+            work.extend(set(c) for c in _tarjan(adj, part - bad))
+        elif _has_internal_edge(adj, part):
             good.append(part)
     target = set().union(*good) if good else set()
     return sorted(_reach_backward(adj_in, set(range(model.n)), target))
@@ -226,15 +236,17 @@ def explicit_streett_graph(model, pairs) -> list:
 
 def explicit_streett_mdp(model, pairs) -> list:
     """Almost-sure winning set of an MDP for the strong-fairness objective."""
+    adj = model.out_adjacency()
+    random_vertices = model.random_vertices
     good = []
-    work = [set(c) for c in explicit_mec(model)]
+    work = [set(c) for c in _mec(adj, random_vertices)]
     while work:
         part = work.pop()
         bad = _bad(pairs, part)
         if bad:
-            rest = part - explicit_attractor(model, part, bad)
-            work.extend(set(c) for c in explicit_mec(model, rest))
+            rest = part - _attractor(adj, random_vertices, part, bad)
+            work.extend(set(c) for c in _mec(adj, random_vertices, rest))
         else:
             good.append(part)
     target = set().union(*good) if good else set()
-    return sorted(explicit_almost_sure_reach(model, target))
+    return sorted(_almost_sure_reach(adj, model.in_adjacency(), random_vertices, target))

@@ -60,7 +60,7 @@ def random_escapes(mgr, part, whole):
     )
 
 
-def almost_sure_reach(mgr, model, targets):
+def almost_sure_reach(mgr, targets):
     """Vertices from which player 1 reaches `targets` with probability 1.
 
     Iterated pruning: within the current universe, remove the vertices

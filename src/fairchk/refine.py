@@ -13,6 +13,17 @@ one with at least `threshold` witnesses is split into SCCs; anything in
 between is split by the lock-step search, which separates one top or
 bottom SCC, and both halves keep witnesses along the split.
 
+Both loops drop a trivial candidate, one vertex without a self-loop,
+before they queue it: it can never be accepted, so it costs no removal,
+no edge test and no escapes.  The test (``SymbolicManager.is_trivial``)
+is one cardinality operation, and one set operation more for a single
+vertex.  It applies to every candidate the loops queue: the `initial`
+ones, the decomposed rests of :func:`refine_basic`, and the SCC parts,
+rests and lock-step components of :func:`refine`; and, in
+:func:`refine`, to what each removal round leaves of a candidate.  The
+SCC split still sees the full partition, since a candidate made of one
+SCC and a trivial vertex is not strongly connected.
+
 The three problems differ only in their operators, which each driver
 defines once and passes to both loops:
 
@@ -54,7 +65,7 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
     (one round); one with nothing to remove is accepted if ``accepts(svs)``.
     `psets` serves only the debug checks.
     """
-    pending = deque(initial)
+    pending = deque(svs for svs in initial if not mgr.is_trivial(svs))
     good = []
     rounds = 0
     while pending:
@@ -65,7 +76,7 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
             rest = mgr.difference(svs, attract(svs, removed))
             if debug:
                 invariants.check_no_random_escape(mgr, rest, mgr.empty())
-            pending.extend(decompose(rest))
+            pending.extend(part for part in decompose(rest) if not mgr.is_trivial(part))
         elif accepts(svs):
             if debug:
                 invariants.check_end_component(mgr, model, svs, psets)
@@ -91,7 +102,8 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
     """
     all_sccs, lock_step_search = kernels
     empty = mgr.empty()
-    pending = deque(Candidate(comp, empty, empty) for comp in initial)
+    pending = deque(Candidate(comp, empty, empty) for comp in initial
+                    if not mgr.is_trivial(comp))
     good = []
     events = {"rescc": 0, "lockstep": 0, "accepted": 0, "bad_rounds": 0}
 
@@ -114,18 +126,19 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
 
     def push_rest(part, removed, lost_in=None, lost_out=None):
         rest = mgr.difference(part, removed)
-        if not mgr.is_empty(rest):
+        if not mgr.is_empty(rest) and not mgr.is_trivial(rest):
             witnesses = boundary(rest, removed, lost_in, lost_out)
             pending.append(Candidate(rest, *witnesses))
 
     def split_off(svs, comp, lost_in, lost_out):
         # `svs` loses what `comp` attracts in it, `comp` included; `comp`
         # loses what its escapes into the rest attract in it.
+        push_rest(svs, attract(svs, comp), lost_in, lost_out)
+        if mgr.is_trivial(comp):
+            return
         comp_attr = attract(comp, escapes(comp, svs))
-        svs_attr = attract(svs, comp)
         if debug:
             _check_separation_attractor(mgr, attract, svs, comp, comp_attr)
-        push_rest(svs, svs_attr, lost_in, lost_out)
         if mgr.is_empty(comp_attr):
             pending.append(Candidate(comp, empty, empty))
         else:
@@ -142,8 +155,13 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
             events["bad_rounds"] += 1
             removed = attract(svs, bad)
             svs = mgr.difference(svs, removed)
+            if mgr.is_trivial(svs):
+                svs = None  # dropped, as if it had been queued
+                break
             lost_in, lost_out = boundary(svs, removed, lost_in, lost_out)
             bad = empty if mec else removal(svs)
+        if svs is None:
+            continue
         if debug:
             invariants.check_no_random_escape(mgr, svs, empty)
 
@@ -159,6 +177,8 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
                 accept(svs)
             else:
                 for part in parts:
+                    if mgr.is_trivial(part):
+                        continue
                     leaving = escapes(part, svs)
                     if mgr.is_empty(leaving):
                         pending.append(Candidate(part, empty, empty))

@@ -57,7 +57,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
             debug=debug,
         )
         events = {"remec": rounds, "accepted": len(good), "bad_rounds": rounds}
-    win = almost_sure_reach(mgr, model, mgr.union_all(good))
+    win = almost_sure_reach(mgr, mgr.union_all(good))
     return RunReport.since(
         mgr, "streett-mdp-improved" if improved else "streett-mdp-basic",
         start, prep, winning=mgr.to_ids(win), events=events,

@@ -20,7 +20,9 @@ backend protocol has, besides the set operations, the skeleton kernel's
 loops: ``spine``, and ``layers(image, start, within)``, one breadth-first
 search by ``pre`` or ``post`` that also serves ``reach_backward``.  The
 kernel builds each spine of ``d`` vertices once from its ids and charges
-it as the ``d - 1`` binary unions that would join them.
+it as the ``d - 1`` binary unions that would join them.  It also has
+``is_single`` and ``loops`` (the vertices of a set with a self-loop), which
+serve :meth:`SymbolicManager.is_trivial` in constant time on one vertex.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -269,6 +271,18 @@ class _BitsetBackend:
     def is_empty(self, h):
         return h == 0
 
+    def is_single(self, h):
+        return h != 0 and h & (h - 1) == 0
+
+    def loops(self, h):
+        """The vertices of `h` with a self-loop, read off their own
+        adjacency, so no loop set is built at construction."""
+        masks, adj, acc = self.out_masks, self.out_adj, 0
+        for v in self.to_ids(h):
+            if (masks[v] >> v & 1) if adj is None else v in adj[v]:
+                acc |= 1 << v
+        return acc
+
     def layers(self, image, start, within):
         """Layers by `image` from `start` inside `within`, and their union."""
         out, seen, layer = [], 0, start
@@ -317,6 +331,9 @@ class SymbolicManager:
         for v in random_vertices:
             if not 0 <= v < n:
                 raise UsageError(f"random vertex {v} out of range")
+        self._build(n, edges, random_vertices, backend)
+
+    def _build(self, n, edges, random_vertices, backend):
         if backend == "bitset":
             self._b = _BitsetBackend(n, edges, random_vertices)
         elif backend == "obdd":
@@ -336,7 +353,14 @@ class SymbolicManager:
 
     @classmethod
     def from_model(cls, model, backend="bitset"):
-        return cls(model.n, model.edges, model.random_vertices, backend=backend)
+        """The manager of `model`.  A model that ``parse_model`` or
+        ``Model.validate`` returned has passed the constructor's checks
+        already, and skips them."""
+        if not model._checked:
+            return cls(model.n, model.edges, model.random_vertices, backend=backend)
+        mgr = cls.__new__(cls)
+        mgr._build(model.n, model.edges, model.random_vertices, backend)
+        return mgr
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -468,6 +492,19 @@ class SymbolicManager:
         h = self._h(z)
         self.counters.cardinality_ops += 1
         return self._b.card(h)
+
+    def is_trivial(self, z: VertexSet) -> bool:
+        """Whether `z` is one vertex without a self-loop: a trivial SCC.
+
+        One cardinality operation; a single vertex costs one set operation
+        more, its intersection with the self-loop set.
+        """
+        h = self._h(z)
+        self.counters.cardinality_ops += 1
+        if not self._b.is_single(h):
+            return False
+        self.counters.set_ops += 1
+        return self._b.is_empty(self._b.loops(h))
 
     def pick(self, z: VertexSet) -> int:
         """An arbitrary vertex of `z`; deterministically the minimum id."""

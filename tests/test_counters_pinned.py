@@ -9,14 +9,19 @@ Regenerate the file only for an intended counter change, and say which
 lines moved and why::
 
     PYTHONPATH=src python tests/test_counters_pinned.py
+
+Before it rewrites the file, the script prints the old and the new totals
+of each `StepCounters` field per algorithm, as a Markdown table.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fairchk import (  # noqa: E402
+    StepCounters,
     SymbolicManager,
     mec_basic,
     mec_improved,
@@ -32,6 +37,7 @@ PIN_FILE = Path(__file__).parent / "counters_pinned.txt"
 SEEDS = 75
 FORCE_LOCKSTEP = 10**9
 THRESHOLDS = ("auto", 1, FORCE_LOCKSTEP)
+FIELDS = [f.name for f in dataclasses.fields(StepCounters)]
 
 # (instance generator, basic run, improved run); a run takes
 # (mgr, model, pairs, threshold) and returns a RunReport.
@@ -94,5 +100,30 @@ def test_counters_match_pinned_file_on_neighbour_tuples():
         _check_pinned(pinned_lines())
 
 
+def _totals(lines):
+    """Per algorithm, each whole-run counter field summed over `lines`."""
+    totals = {}
+    for line in lines:
+        head, _, counters = line.split(" | ")[:3]
+        algorithm = head.split()[0]
+        acc = totals.setdefault(algorithm, [0] * len(FIELDS))
+        for i, value in enumerate(counters.split()):
+            acc[i] += int(value)
+    return totals
+
+
+def _totals_table(old_lines, new_lines):
+    old, new = _totals(old_lines), _totals(new_lines)
+    rows = ["| algorithm | field | old | new |", "|---|---|---:|---:|"]
+    for algorithm in new:
+        before = old.get(algorithm, [0] * len(FIELDS))
+        for field, a, b in zip(FIELDS, before, new[algorithm]):
+            rows.append(f"| {algorithm} | {field} | {a:,} | {b:,} |")
+    return "\n".join(rows)
+
+
 if __name__ == "__main__":
-    PIN_FILE.write_text("\n".join(pinned_lines()) + "\n", encoding="utf-8")
+    lines = pinned_lines()
+    old_lines = PIN_FILE.read_text(encoding="utf-8").splitlines() if PIN_FILE.exists() else []
+    print(_totals_table(old_lines, lines))
+    PIN_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")

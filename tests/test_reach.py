@@ -109,7 +109,7 @@ class TestRandomAttractor:
 class TestAlmostSureReach:
     def test_mdp(self, f3, backend):
         mgr = mgr_for(f3, backend)
-        got = almost_sure_reach(mgr, f3, mgr.from_ids([2]))
+        got = almost_sure_reach(mgr, mgr.from_ids([2]))
         assert mgr.to_ids(got) == [0, 1, 2]
 
     def test_targets_are_won_on_arrival(self):
@@ -117,19 +117,19 @@ class TestAlmostSureReach:
         # play starts there, so 0 is still almost-surely winning.
         model = Model("mdp", 2, ((0, 1), (1, 1)), frozenset()).validate()
         mgr = mgr_for(model)
-        got = almost_sure_reach(mgr, model, mgr.from_ids([0]))
+        got = almost_sure_reach(mgr, mgr.from_ids([0]))
         assert mgr.to_ids(got) == [0]
 
     def test_whole_universe(self, f3, backend):
         mgr = mgr_for(f3, backend)
-        assert almost_sure_reach(mgr, f3, mgr.universe) == mgr.universe
+        assert almost_sure_reach(mgr, mgr.universe) == mgr.universe
 
     def test_on_graphs_equals_plain_reachability(self, f2, backend):
         mgr = mgr_for(f2, backend)
         targets = mgr.from_ids([2, 3])
         with mgr.counters_paused():
             plain = reach_backward(mgr, mgr.universe, targets)
-        assert almost_sure_reach(mgr, f2, targets) == plain
+        assert almost_sure_reach(mgr, targets) == plain
 
 
 def _managers(model):
@@ -199,7 +199,7 @@ def test_almost_sure_reach_matches_explicit(rng, n):
     model = _random_mdp(rng, n)
     mgr = mgr_for(model)
     t_ids = [v for v in range(n) if rng.random() < 0.35]
-    got = almost_sure_reach(mgr, model, mgr.from_ids(t_ids))
+    got = almost_sure_reach(mgr, mgr.from_ids(t_ids))
     assert mgr.to_ids(got) == sorted(explicit_almost_sure_reach(model, t_ids))
 
 
@@ -211,5 +211,5 @@ def test_almost_sure_reach_against_strategy_enumeration():
         model = _random_mdp(rng, n)
         t_ids = [v for v in range(n) if rng.random() < 0.35]
         mgr = mgr_for(model)
-        got = mgr.to_ids(almost_sure_reach(mgr, model, mgr.from_ids(t_ids)))
+        got = mgr.to_ids(almost_sure_reach(mgr, mgr.from_ids(t_ids)))
         assert got == brute_almost_sure_reach(model, t_ids), (seed, model, t_ids)

@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchk import SymbolicManager, UsageError, all_sccs, lock_step_search
+from fairchk import (
+    ModelError,
+    StepCounters,
+    SymbolicManager,
+    UsageError,
+    all_sccs,
+    lock_step_search,
+    parse_model,
+    symbolic,
+)
 from fairchk.model import Model
 
-from conftest import mgr_for
+from conftest import F1_TEXT, mgr_for
 from helpers import BITSET_REPRESENTATIONS, bitset_representation, sized_ids
 
 
@@ -159,6 +168,7 @@ class TestHandleHygiene:
             lambda x: mgr.cpre_random(own, within=x),
             mgr.complement, mgr.cardinality, mgr.pick, mgr.is_empty,
             mgr.to_ids, lambda x: mgr.contains(x, 1), mgr.min_vertex,
+            mgr.is_trivial,
         ]
         for op in (mgr.union, mgr.intersect, mgr.difference):
             calls.append(lambda x, op=op: op(x, own))
@@ -193,6 +203,26 @@ class TestHandleHygiene:
     def test_sink_rejected_at_construction(self):
         with pytest.raises(UsageError):
             SymbolicManager(2, [(0, 1)], frozenset())
+
+    def test_checked_model_skips_the_repeated_checks(self, backend, monkeypatch):
+        # parse_model and Model.validate made the constructor's checks.
+        def sink_check(*args):
+            raise AssertionError("checked twice")
+        monkeypatch.setattr(symbolic, "first_sink", sink_check)
+        plain = Model("graph", 3, ((0, 1), (1, 2), (2, 0)), frozenset())
+        for model in (parse_model(F1_TEXT), plain.validate()):
+            assert model == plain  # the mark is no field
+            mgr = SymbolicManager.from_model(model, backend=backend)
+            assert ids(mgr, mgr.pre(mgr.from_ids([0]))) == [2]
+            assert mgr.snapshot_counters() == StepCounters(pre_ops=1)
+
+    def test_unchecked_model_is_checked(self, backend):
+        for edges in (((0, 1),), ((0, 1), (1, 2))):  # a sink; an edge out of range
+            model = Model("graph", 2, edges, frozenset())
+            with pytest.raises(ModelError):
+                model.validate()
+            with pytest.raises(UsageError):
+                SymbolicManager.from_model(model, backend=backend)
 
     def test_out_of_range_ids_rejected(self, f1):
         mgr = mgr_for(f1)
@@ -261,6 +291,32 @@ def test_pre_matches_edge_enumeration(rng, n):
             assert got == expected, (name, target)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=40))
+def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
+    """`is_trivial` on masks, tuples and OBDD, and what it counts: one
+    cardinality operation, and one set operation more on one vertex."""
+    model = _random_model(rng, n)
+    forced = {(v, v) for v in rng.sample(range(n), n // 3)}
+    edges = tuple(sorted(set(model.edges) | forced))
+    model = Model("mdp", n, edges, model.random_vertices).validate()
+    loops = {u for u, v in edges if u == v}
+    managers = []
+    for name in BITSET_REPRESENTATIONS:
+        with bitset_representation(name):
+            managers.append(mgr_for(model, "bitset"))
+    managers.append(mgr_for(model, "obdd"))
+    draws = [[v] for v in range(n)] + sized_ids(rng, n)
+    for mgr in managers:
+        for draw in draws:
+            z = mgr.from_ids(draw)
+            before = mgr.snapshot_counters()
+            single = len(draw) == 1
+            assert mgr.is_trivial(z) == (single and draw[0] not in loops), draw
+            assert (mgr.snapshot_counters() - before
+                    == StepCounters(set_ops=int(single), cardinality_ops=1))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=16))
 def test_cpre_agrees_with_pre_formula(rng, n):
@@ -305,6 +361,7 @@ def test_backends_agree_on_call_sequences(rng, n):
                     ids(mgr, mgr.intersect(z, s)),
                     ids(mgr, mgr.difference(z, s)),
                     mgr.cardinality(z),
+                    mgr.is_trivial(z),
                 )
             )
         assert results[0] == results[1] == results[2]
