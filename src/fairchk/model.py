@@ -12,6 +12,9 @@ Pairs file format::
     L <i> <v> ...            1 <= i <= k, omitted lists are empty
     U <i> <v> ...
 
+`k` only bounds the indices: a pair without requests is dropped (see
+:class:`StreettPairs`), so a file costs what its other pairs cost.
+
 Vertices are dense 0-based integers.  Probabilities are deliberately
 absent: the qualitative analyses implemented here depend only on the edge
 support of the transition function, so a distribution (uniform, say) is
@@ -121,14 +124,22 @@ class Model:
 
 @dataclasses.dataclass(frozen=True)
 class StreettPairs:
-    """Request/grant vertex-set pairs of a strong-fairness objective."""
+    """Request/grant vertex-set pairs of a strong-fairness objective.
+
+    `k` is the declared pair count.  `pairs` keeps, in order, only the
+    pairs with a nonempty request set: construction drops the others,
+    since a pair that requests nothing can never make a vertex bad.
+    """
 
     k: int
-    pairs: tuple  # tuple of (frozenset, frozenset)
+    pairs: tuple  # tuple of (frozenset, frozenset), each request nonempty
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(p for p in self.pairs if p[0]))
 
     def validate(self, n: int) -> "StreettPairs":
-        if self.k != len(self.pairs):
-            raise ModelError("pair count does not match pair list")
+        if len(self.pairs) > self.k:
+            raise ModelError(f"{len(self.pairs)} pairs exceed the pair count {self.k}")
         for left, right in self.pairs:
             for v in left | right:
                 if not 0 <= v < n:
@@ -248,50 +259,41 @@ def parse_pairs(text: str, n: int) -> StreettPairs:
         for v in vs:
             if not 0 <= v < n:
                 raise ModelError(f"pair vertex {v} out of range", lineno)
-        (lefts if tok[0] == "L" else rights).setdefault(i - 1, []).extend(vs)
-    empty = (frozenset(), frozenset())
-    pairs = tuple(
-        (frozenset(lefts.get(i, ())), frozenset(rights.get(i, ())))
-        if i in lefts or i in rights else empty for i in range(k)
-    )
-    return StreettPairs(k, pairs)
+        (lefts if tok[0] == "L" else rights).setdefault(i, []).extend(vs)
+    return StreettPairs(k, tuple((frozenset(left), frozenset(rights.get(i, ())))
+                                 for i, left in sorted(lefts.items())))
 
 
 def serialize_pairs(pairs: StreettPairs) -> str:
     lines = [f"pairs {pairs.k}"]
     for i, (left, right) in enumerate(pairs.pairs, start=1):
-        if left:
-            lines.append(f"L {i} " + " ".join(str(v) for v in sorted(left)))
+        lines.append(f"L {i} " + " ".join(str(v) for v in sorted(left)))
         if right:
             lines.append(f"U {i} " + " ".join(str(v) for v in sorted(right)))
     return "\n".join(lines) + "\n"
 
 
 def pair_sets(mgr, pairs: StreettPairs) -> list:
-    """Materialize the pairs as vertex sets of `mgr` (uncounted setup)."""
-    return [
-        (mgr.from_ids(sorted(left)), mgr.from_ids(sorted(right)))
-        for left, right in pairs.pairs
-    ]
+    """The pairs, each with requests, as vertex sets of `mgr` (uncounted setup)."""
+    return [(mgr.from_ids(left), mgr.from_ids(right)) for left, right in pairs.pairs]
 
 
-def bad_vertices(mgr, svs, pairs) -> object:
+def bad_vertices(mgr, svs, psets) -> object:
     """Vertices of `svs` whose request pair has no grant inside `svs`.
 
-    For each pair whose grant set misses `svs` entirely, the members of
-    the request set inside `svs` are bad.  Uses at most ``2k`` set
-    operations and ``k`` emptiness tests.  Runs on raw backend handles,
-    checking the owner of each handle it reads, and charges what the same
-    fold of manager calls counts.
+    `psets` holds (request, grant) handles of `mgr`, as :func:`pair_sets`
+    makes them.  For each pair whose grant set misses `svs` entirely, the
+    members of the request set inside `svs` are bad.  Uses at most two
+    set operations and one emptiness test per pair.  Runs on raw backend
+    handles, checking the owner of each handle it reads, and charges what
+    the same fold of manager calls counts.
     """
     from .symbolic import VertexSet  # symbolic imports this module
-    if isinstance(pairs, StreettPairs):
-        pairs = pair_sets(mgr, pairs)
     b, s = mgr._b, mgr._h(svs)
     intersect, union, is_empty = b.intersect, b.union, b.is_empty
     acc = b.empty()
     k = bad = 0
-    for k, (left, right) in enumerate(pairs, 1):
+    for k, (left, right) in enumerate(psets, 1):
         if right.__class__ is not VertexSet or right.mgr is not mgr:
             mgr._h(right)
         if is_empty(intersect(right.h, s)):

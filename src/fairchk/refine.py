@@ -20,7 +20,8 @@ is one cardinality operation, and one set operation more for a single
 vertex.  It applies to every candidate the loops queue: the `initial`
 ones, the decomposed rests of :func:`refine_basic`, and the SCC parts,
 rests and lock-step components of :func:`refine`; and, in
-:func:`refine`, to what each removal round leaves of a candidate.  The
+:func:`refine`, to what each removal round leaves of a candidate, which
+is dropped uncounted when the round took all of it.  The
 SCC split still sees the full partition, since a candidate made of one
 SCC and a trivial vertex is not strongly connected.
 
@@ -155,7 +156,7 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
             events["bad_rounds"] += 1
             removed = attract(svs, bad)
             svs = mgr.difference(svs, removed)
-            if mgr.is_trivial(svs):
+            if mgr.is_empty(svs) or mgr.is_trivial(svs):
                 svs = None  # dropped, as if it had been queued
                 break
             lost_in, lost_out = boundary(svs, removed, lost_in, lost_out)

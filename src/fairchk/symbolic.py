@@ -52,7 +52,7 @@ import dataclasses
 from contextlib import contextmanager
 
 from .errors import UsageError
-from .model import first_sink, neighbour_tuples
+from .model import neighbour_tuples
 
 __all__ = ["StepCounters", "VertexSet", "SymbolicManager"]
 
@@ -311,29 +311,20 @@ class SymbolicManager:
 
     Holds the vertex universe, the edge relation, the player partition
     (player-1 versus random vertices) and the step counters.  Construct
-    with :meth:`from_model`; every vertex of the model must have at least
-    one outgoing edge so that plays never get stuck.
+    with ``SymbolicManager(model, backend)`` or :meth:`from_model`, from a
+    :class:`~fairchk.model.Model`.  The model decides what is valid: one
+    that ``parse_model`` or ``Model.validate`` returned is taken as is,
+    and any other is validated first, so an invalid model raises
+    ``ModelError`` here.
 
     A manager and its handles belong to one thread of control.  Run
     independent inputs on independent managers for parallelism.
     """
 
-    def __init__(self, n, edges, random_vertices, backend="bitset"):
-        if n <= 0:
-            raise UsageError("vertex count must be positive")
-        edges, random_vertices = tuple(edges), tuple(random_vertices)  # read once
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise UsageError(f"edge ({u}, {v}) out of range for n={n}")
-        sink = first_sink(n, edges)
-        if sink is not None:
-            raise UsageError(f"vertex {sink} has no outgoing edge")
-        for v in random_vertices:
-            if not 0 <= v < n:
-                raise UsageError(f"random vertex {v} out of range")
-        self._build(n, edges, random_vertices, backend)
-
-    def _build(self, n, edges, random_vertices, backend):
+    def __init__(self, model, backend="bitset"):
+        if not model._checked:
+            model.validate()
+        n, edges, random_vertices = model.n, model.edges, model.random_vertices
         if backend == "bitset":
             self._b = _BitsetBackend(n, edges, random_vertices)
         elif backend == "obdd":
@@ -353,14 +344,8 @@ class SymbolicManager:
 
     @classmethod
     def from_model(cls, model, backend="bitset"):
-        """The manager of `model`.  A model that ``parse_model`` or
-        ``Model.validate`` returned has passed the constructor's checks
-        already, and skips them."""
-        if not model._checked:
-            return cls(model.n, model.edges, model.random_vertices, backend=backend)
-        mgr = cls.__new__(cls)
-        mgr._build(model.n, model.edges, model.random_vertices, backend)
-        return mgr
+        """The manager of `model`: ``cls(model, backend)``."""
+        return cls(model, backend)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -1,15 +1,20 @@
 """Command-line interface: outputs, exit codes, CSV determinism."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairchk import SymbolicManager, UsageError
 from fairchk.cli import main
-from fairchk.runner import run_command
+from fairchk.generate import FAMILIES
+from fairchk.runner import COMMANDS, run_command
 from fairchk.thresholds import parse_threshold
 
-from conftest import F2_TEXT, F3_TEXT
+from conftest import F1_TEXT, F2_TEXT, F3_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -292,3 +297,88 @@ class TestSweeps:
         )
         assert code == 2
         assert "oracle mismatch" in err
+
+
+# Tokens of the fuzzed files: small ids, huge ids and counts, negatives,
+# and words that are no decimal integers.
+TOKENS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["1000000000", "10" * 10, "9" * 30, "-1000000000",
+                     "x", "1.5", "nan", "inf", "0x1", "1e9", "#"]),
+)
+
+
+def _text(heads, directives, valid):
+    """A file: mostly one of the `valid` texts, else a valid text or a
+    fuzzed header followed by fuzzed lines."""
+    header = st.one_of(
+        st.sampled_from(valid),
+        st.tuples(st.sampled_from(heads), TOKENS).map(" ".join),
+    )
+    line = st.tuples(st.sampled_from(directives), st.lists(TOKENS, max_size=3)).map(
+        lambda t: " ".join([t[0], *t[1]]))
+    fuzzed = st.tuples(header, st.lists(line, min_size=1, max_size=4)).map(
+        lambda t: "\n".join([t[0].rstrip("\n"), *t[1]]) + "\n")
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), fuzzed)
+
+
+MODEL_TEXTS = _text(["graph", "mdp", "digraph"], ["e", "random", "v"],
+                    [F1_TEXT, F2_TEXT, F3_TEXT])
+PAIRS_TEXTS = _text(["pairs", "pair"], ["L", "U", "R"],
+                    ["pairs 1000000000\nL 1 0\nU 1 2\n", "pairs 2\n"])
+# Flag values that are malformed, negative, nan or inf: never a valid
+# large sweep, which would be real work.
+BAD_INT = ["x", "", "1.5", "-1", "-7", "nan", "inf"]
+BAD_FLAGS = {
+    "--threshold": ["x", "", "0", "-1", "2.5", "nan", "inf"],
+    "--sizes": ["x", "", ",", "0", "-1", "1.5", "nan", "inf"],
+    "--seeds": BAD_INT,
+    "--k": BAD_INT,
+    "--cycle-size": BAD_INT,
+    "--edge-factor": ["x", "", "-1", "-0.5", "nan", "inf", "-inf"],
+    "--random-fraction": ["x", "", "-1", "-0.5", "nan", "inf", "-inf"],
+    "--backend": ["", "gpu"],
+    "--algorithm": ["", "both"],
+}
+FLAGS = st.one_of(st.just([]), st.just([]), st.lists(
+    st.sampled_from(sorted(BAD_FLAGS)).flatmap(
+        lambda flag: st.sampled_from(BAD_FLAGS[flag]).map(lambda value: [flag, value])),
+    min_size=1, max_size=2,
+))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(COMMANDS),
+    model_text=MODEL_TEXTS,
+    pairs_text=st.none() | PAIRS_TEXTS,
+    family=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(FAMILIES)),
+    flags=FLAGS,
+    oracle=st.booleans(),
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, command, model_text, pairs_text,
+                                family, flags, oracle):
+    # Malformed files and flag values end in exit 0 or in exit 1 with an
+    # error line, never in a traceback or another exit code.
+    folder = tmp_path_factory.mktemp("fuzz")
+    argv = [command]
+    if family is None:
+        (folder / "model.txt").write_text(model_text)
+        argv += ["--model", str(folder / "model.txt")]
+        if pairs_text is not None:
+            (folder / "pairs.txt").write_text(pairs_text)
+            argv += ["--pairs", str(folder / "pairs.txt")]
+    else:
+        argv += ["--family", family]
+    if oracle:
+        argv.append("--check-oracle")
+    for flag in flags:
+        argv += flag
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (argv, code, err)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)

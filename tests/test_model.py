@@ -12,11 +12,16 @@ from fairchk import (
     SymbolicManager,
     UsageError,
     bad_vertices,
+    oracle,
     pair_sets,
     parse_model,
     parse_pairs,
     serialize_model,
     serialize_pairs,
+    streett_graph_basic,
+    streett_graph_improved,
+    streett_mdp_basic,
+    streett_mdp_improved,
 )
 from fairchk.model import Model, StreettPairs
 
@@ -45,40 +50,61 @@ class TestParseModel:
 
     def test_sink_rejected_in_memory_bounded_by_edges(self):
         # A huge vertex count with one edge is rejected without a
-        # per-vertex table, by the model and by the manager alike.
+        # per-vertex table, by the parser and by the manager alike.
         tracemalloc.start()
         try:
             with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
                 parse_model("graph 20000000\ne 0 0\n")
-            with pytest.raises(UsageError, match="vertex 1 has no outgoing edge"):
-                SymbolicManager(20_000_000, [(0, 0)], [])
+            with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
+                SymbolicManager.from_model(Model("graph", 20_000_000, ((0, 0),), frozenset()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
     def test_pairs_memory_bounded_by_named_pairs(self):
-        # A large declared pair count allocates no sets for the pairs
-        # that no line names; they share one empty pair.
-        tracemalloc.start()
-        try:
-            pairs = parse_pairs("pairs 1000000\nU 7 3\n", 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32_000_000
-        assert pairs.k == len(pairs.pairs) == 1_000_000
-        assert pairs.pairs[6] == (frozenset(), frozenset({3}))
-        assert pairs.pairs[0] == pairs.pairs[999_999] == (frozenset(), frozenset())
+        # A billion declared pairs, one of them named with a request (pair
+        # 9 grants only): parsing and solving cost what that pair costs.
+        solvers = {
+            "graph": (streett_graph_basic, streett_graph_improved,
+                      oracle.explicit_streett_graph),
+            "mdp": (streett_mdp_basic, streett_mdp_improved,
+                    oracle.explicit_streett_mdp),
+        }
+        text = "pairs 1000000000\nL 7 0\nU 7 2\nU 9 1\n"
+        for kind, (basic, improved, explicit) in solvers.items():
+            tracemalloc.start()
+            try:
+                model = parse_model(f"{kind} 3\ne 0 1\ne 1 2\ne 2 0\n")
+                pairs = parse_pairs(text, model.n)
+                mgr = SymbolicManager.from_model(model)
+                psets = pair_sets(mgr, pairs)
+                before = mgr.snapshot_counters()
+                bad = bad_vertices(mgr, mgr.from_ids([0, 1]), psets)
+                charged = mgr.snapshot_counters() - before
+                reports = [solve(SymbolicManager.from_model(model), model, pairs)
+                           for solve in (basic, improved)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32_000_000, kind
+            assert pairs.k == 10**9
+            assert pairs.pairs == ((frozenset({0}), frozenset({2})),)
+            assert mgr.to_ids(bad) == [0]
+            assert charged.set_ops == 2  # one pair visited, one union
+            for report in reports:
+                assert report.winning == explicit(model, pairs) == [0, 1, 2]
+                assert report.counters.set_ops < 100, (kind, report.algorithm)
 
     def test_bitset_manager_memory_bounded_by_edges(self):
         # Mask tables would hold 38.7 MB here: each mask reaches its
         # highest neighbour id.
         n = 16_384
         edges = random_graph(random.Random(7), n, 3 * n // 2)
+        model = Model("graph", n, tuple(edges), frozenset()).validate()
         tracemalloc.start()
         try:
-            mgr = SymbolicManager(n, edges, [])
+            mgr = SymbolicManager.from_model(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -119,6 +145,20 @@ class TestParsePairs:
     def test_zero_pairs(self):
         assert parse_pairs("pairs 0\n", 5).k == 0
 
+    def test_pairs_without_requests_are_dropped(self):
+        pairs = parse_pairs("pairs 5\nU 1 2\nL 4 1\nL 2\nU 2 0\nU 4 0\n", 3)
+        assert pairs.k == 5
+        assert pairs.pairs == ((frozenset({1}), frozenset({0})),)
+        assert StreettPairs(5, ((frozenset(), frozenset({2})),
+                                (frozenset({1}), frozenset({0})))) == pairs
+        assert serialize_pairs(pairs) == "pairs 5\nL 1 1\nU 1 0\n"
+
+    def test_more_pairs_than_declared_rejected(self):
+        pairs = StreettPairs(1, ((frozenset({0}), frozenset()),
+                                 (frozenset({1}), frozenset())))
+        with pytest.raises(ModelError, match="exceed the pair count 1"):
+            pairs.validate(3)
+
     def test_index_out_of_range(self):
         with pytest.raises(ModelError, match="outside 1..1"):
             parse_pairs("pairs 1\nL 2 0\n", 3)
@@ -144,6 +184,14 @@ def test_round_trip(rng, n, mdp):
     assert parse_model(serialize_model(model)) == model
     pairs = random_pairs(rng, n, rng.randint(0, 4))
     assert parse_pairs(serialize_pairs(pairs), n) == pairs
+    # Request-free entries anywhere, and a declared count above the list.
+    given = list(random_pairs(rng, n, rng.randint(0, 4)).pairs)
+    for _ in range(rng.randint(1, 3)):
+        right = frozenset(v for v in range(n) if rng.random() < 0.5)
+        given.insert(rng.randint(0, len(given)), (frozenset(), right))
+    pairs = StreettPairs(len(given) + rng.randint(0, 10**9), tuple(given))
+    assert pairs.pairs == tuple(p for p in given if p[0])
+    assert parse_pairs(serialize_pairs(pairs), n) == pairs.validate(n)
 
 
 DEFECTS = ("duplicate", "edge_range", "graph_random", "random_range", "sink", "size")
@@ -205,23 +253,26 @@ def test_parse_rejects_what_validate_rejects(rng, n, mdp, defects):
 class TestBadVertices:
     def test_missing_grant_marks_requests(self, f1):
         mgr = mgr_for(f1)
-        pairs = StreettPairs(1, ((frozenset({0}), frozenset({2})),))
-        bad = bad_vertices(mgr, mgr.from_ids([0, 1]), pairs)
+        psets = pair_sets(mgr, StreettPairs(1, ((frozenset({0}), frozenset({2})),)))
+        bad = bad_vertices(mgr, mgr.from_ids([0, 1]), psets)
         assert mgr.to_ids(bad) == [0]
 
     def test_present_grant_clears(self, f1):
         mgr = mgr_for(f1)
-        pairs = StreettPairs(1, ((frozenset({0}), frozenset({2})),))
-        assert mgr.to_ids(bad_vertices(mgr, mgr.universe, pairs)) == []
+        psets = pair_sets(mgr, StreettPairs(1, ((frozenset({0}), frozenset({2})),)))
+        assert mgr.to_ids(bad_vertices(mgr, mgr.universe, psets)) == []
 
     def test_no_pairs(self, f1):
         mgr = mgr_for(f1)
-        assert mgr.is_empty(bad_vertices(mgr, mgr.universe, StreettPairs(0, ())))
+        psets = pair_sets(mgr, StreettPairs(0, ()))
+        before = mgr.snapshot_counters()
+        assert mgr.is_empty(bad_vertices(mgr, mgr.universe, psets))
+        assert mgr.snapshot_counters() == before
 
     def test_result_within_input_set(self, f1):
         mgr = mgr_for(f1)
-        pairs = StreettPairs(1, ((frozenset({0, 1, 2}), frozenset()),))
-        bad = bad_vertices(mgr, mgr.from_ids([1]), pairs)
+        psets = pair_sets(mgr, StreettPairs(1, ((frozenset({0, 1, 2}), frozenset()),)))
+        bad = bad_vertices(mgr, mgr.from_ids([1]), psets)
         assert mgr.to_ids(bad) == [1]
 
     def test_set_operation_budget(self, f1):
@@ -246,7 +297,7 @@ class TestBadVertices:
                 (frozenset({2}), frozenset({0, 2})),
             ),
         )
-        assert mgr.is_empty(bad_vertices(mgr, mgr.universe, pairs))
+        assert mgr.is_empty(bad_vertices(mgr, mgr.universe, pair_sets(mgr, pairs)))
 
     def test_matches_handle_level_fold(self, backend):
         """The raw-handle fold returns and charges what the same manager

@@ -12,7 +12,6 @@ from fairchk import (
     all_sccs,
     lock_step_search,
     parse_model,
-    symbolic,
 )
 from fairchk.model import Model
 
@@ -201,28 +200,36 @@ class TestHandleHygiene:
                 mgr.contains(mgr.universe, v)
 
     def test_sink_rejected_at_construction(self):
-        with pytest.raises(UsageError):
-            SymbolicManager(2, [(0, 1)], frozenset())
+        with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
+            SymbolicManager(Model("graph", 2, ((0, 1),), frozenset()))
 
     def test_checked_model_skips_the_repeated_checks(self, backend, monkeypatch):
-        # parse_model and Model.validate made the constructor's checks.
-        def sink_check(*args):
-            raise AssertionError("checked twice")
-        monkeypatch.setattr(symbolic, "first_sink", sink_check)
+        # parse_model and Model.validate made every check already.
         plain = Model("graph", 3, ((0, 1), (1, 2), (2, 0)), frozenset())
-        for model in (parse_model(F1_TEXT), plain.validate()):
+        checked = (parse_model(F1_TEXT), plain.validate())
+
+        def validate(model):
+            raise AssertionError("checked twice")
+        monkeypatch.setattr(Model, "validate", validate)
+        for model in checked:
             assert model == plain  # the mark is no field
             mgr = SymbolicManager.from_model(model, backend=backend)
             assert ids(mgr, mgr.pre(mgr.from_ids([0]))) == [2]
             assert mgr.snapshot_counters() == StepCounters(pre_ops=1)
 
     def test_unchecked_model_is_checked(self, backend):
-        for edges in (((0, 1),), ((0, 1), (1, 2))):  # a sink; an edge out of range
-            model = Model("graph", 2, edges, frozenset())
-            with pytest.raises(ModelError):
-                model.validate()
-            with pytest.raises(UsageError):
-                SymbolicManager.from_model(model, backend=backend)
+        defects = [
+            (((0, 1),), frozenset(), "vertex 1 has no outgoing edge"),
+            (((0, 1), (1, 2)), frozenset(), r"edge \(1, 2\) out of range"),
+            (((0, 1), (1, 0)), frozenset({2}), "random vertex 2 out of range"),
+        ]
+        for edges, randoms, message in defects:
+            with pytest.raises(ModelError, match=message):
+                SymbolicManager(Model("mdp", 2, edges, randoms), backend=backend)
+        model = Model("mdp", 2, ((0, 1), (1, 0)), frozenset({1}))
+        mgr = SymbolicManager.from_model(model, backend=backend)
+        assert ids(mgr, mgr.v_random) == [1]
+        assert model._checked  # a second manager skips the checks
 
     def test_out_of_range_ids_rejected(self, f1):
         mgr = mgr_for(f1)
@@ -235,14 +242,6 @@ class TestHandleHygiene:
         with pytest.raises(UsageError):
             mgr.from_ids(iter([0, 3]))
 
-    def test_constructor_takes_one_shot_iterators(self, backend):
-        edges = [(0, 1), (1, 2), (2, 0)]
-        for args in ((edges, (v for v in [1])), (iter(edges), [1])):
-            mgr = SymbolicManager(3, *args, backend=backend)
-            assert ids(mgr, mgr.v_random) == [1]
-            assert ids(mgr, mgr.pre(mgr.from_ids([2]))) == [1]
-        with pytest.raises(UsageError):
-            SymbolicManager(3, iter(edges), (v for v in [3]), backend=backend)
 
 
 def _random_model(rng, n):
