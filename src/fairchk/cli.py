@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,13 @@ EXIT_IO = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows only plain decimals such as -1 and
+        # -0.5: it took -inf or -1e5 for an option and left the flag before
+        # it without a value, where the value's own check should speak.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)

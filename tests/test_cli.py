@@ -159,9 +159,15 @@ class TestExitCodes:
             ("streett-graph", "--family", "random", "--edge-factor", "nan"),
             ("streett-graph", "--family", "random", "--k", "-1"),
             ("streett-graph", "--family", "random", "--edge-factor", "1e308"),
+            # A negative value that is no plain decimal is still a value.
+            ("streett-graph", "--family", "random", "--edge-factor", "-inf"),
+            ("streett-graph", "--family", "random", "--edge-factor=-inf"),
+            ("streett-mdp", "--family", "mdp-random", "--random-fraction", "-inf"),
+            ("streett-mdp", "--family", "mdp-random", "--random-fraction=-inf"),
         ],
         ids=["cycle-size", "cycle-size-above-n", "random-fraction", "edge-factor",
-             "k", "edge-factor-huge"],
+             "k", "edge-factor-huge", "edge-factor-minus-inf", "edge-factor=-inf",
+             "random-fraction-minus-inf", "random-fraction=-inf"],
     )
     def test_bad_sweep_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
 """Symbolic layer: one-step operators, set algebra, counters, backends."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,10 @@ from fairchk import (
     parse_model,
 )
 from fairchk.model import Model
+from fairchk.symbolic import _BitsetBackend
 
 from conftest import F1_TEXT, mgr_for
-from helpers import BITSET_REPRESENTATIONS, bitset_representation, sized_ids
+from helpers import BITSET_REPRESENTATIONS, bitset_representation, random_graph, sized_ids
 
 
 def ids(mgr, vs):
@@ -366,3 +369,52 @@ def test_backends_agree_on_call_sequences(rng, n):
         assert results[0] == results[1] == results[2]
     counters = [mgr.snapshot_counters() for mgr in managers]
     assert counters[0] == counters[1] == counters[2]
+
+
+@pytest.mark.parametrize("n", [4097, 16387])
+def test_tuples_match_masks_at_full_width(n):
+    """The bitset backend on neighbour tuples, as built above
+    `_MASK_MAX_N` with no patch, against mask tables on the same sparse
+    model, op by op on sets thousands of bits wide.  n % 8 != 0, so the
+    last byte of a set is a partial one."""
+    rng = random.Random(n)
+    edges = sorted({*random_graph(rng, n, 2 * n), (0, n - 1), (n - 1, 0)})
+    randoms = frozenset(rng.sample(range(n), n // 5))
+    tuples = _BitsetBackend(n, edges, randoms)
+    with bitset_representation("masks"):
+        masks = _BitsetBackend(n, edges, randoms)
+    assert tuples.in_masks is None and masks.in_masks is not None
+    # Ids 0 and n - 1, and either side of byte and 4096-bit boundaries.
+    edge_ids = sorted({0, 1, 7, 8, 9, 4095, 4096, n - 9, n - 8, n - 2, n - 1})
+    draws = [[v] for v in edge_ids] + [edge_ids, *sized_ids(rng, n)]
+    draws += [sorted(rng.sample(range(n), n // 3)), sorted(rng.sample(range(n), n // 2))]
+    for a_ids, b_ids in zip(draws, draws[1:] + draws[:1]):
+        results = []
+        for bk in (tuples, masks):
+            a, b = bk.from_ids(a_ids), bk.from_ids(b_ids)
+            assert bk.to_ids(a) == a_ids
+            # Spines follow the two searches by `post`, as in the kernel.
+            searches = [bk.layers(bk.post, a, b), bk.layers(bk.pre, b, a),
+                        bk.layers(bk.post, bk.empty(), a)]
+            results.append((
+                bk.pre(a), bk.post(a), bk.difference(a, b), bk.difference(b, a),
+                bk.complement(a), bk.cpre_random(a, bk.universe()),
+                bk.cpre_random(a, b), searches,
+                [bk.spine(found) for found, _ in searches[::2] if found],
+                bk.min_vertex(a) if a_ids else None, bk.is_single(a),
+            ))
+        assert results[0] == results[1], (n, a_ids[:3], b_ids[:3])
+        # The searches by their definition; `start` need not lie in `within`.
+        a, b = masks.from_ids(a_ids), masks.from_ids(b_ids)
+        assert results[0][7] == [_search(masks.post, a, b), _search(masks.pre, b, a),
+                                 _search(masks.post, 0, a)]
+
+
+def _search(image, start, within):
+    """Breadth-first layers from `start`, each new inside `within`."""
+    out, seen, layer = [], 0, start
+    while layer:
+        out.append(layer)
+        seen |= layer
+        layer = image(layer) & within & ~seen
+    return out, seen
