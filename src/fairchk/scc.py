@@ -7,8 +7,11 @@ pivot's SCC by a backward search inside the forward set, and recurses on
 the two remaining parts.  The spine's vertex set is built once from its
 ids, charged as the ``depth - 1`` binary unions that would join its
 vertices one at a time; on decision diagrams this makes only the spine's
-own nodes.  Re-using the spine remainder as the next pivot is what keeps
-the total number of one-step operations linear in the number of vertices.
+own nodes.  A pivot whose forward search stops at once, with no successor
+in its set, is its own part: its spine walk, backward search and empty
+inner part are skipped, and charged as before.  Re-using the spine
+remainder as the next pivot is what keeps the total number of one-step
+operations linear in the number of vertices.
 A plain forward/backward variant is kept behind a flag for differential
 testing.
 
@@ -24,7 +27,8 @@ The skeleton decomposition and the lock-step search are the hot kernels
 of every solve, so their inner loops run on raw backend handles rather
 than through the manager; the skeleton kernel's two searches and spine
 walk run inside the backend, as ``layers`` by ``post``, ``spine``, and
-``layers`` by ``pre`` per recursion step.  Each kernel
+``layers`` by ``pre`` per recursion step, or only the first for a pivot
+with no successor.  Each kernel
 checks the ownership of its incoming handles at entry, counts its
 operations in local tallies, and charges them with ``mgr._charge`` (once
 per call, or once per lock-step round): exactly the counts the same
@@ -84,27 +88,36 @@ def _sccs_skeleton(mgr, svs):
         n_post += depth
         n_set += 3 * depth
 
-        # Spine: a shortest path from the pivot to a deepest vertex.  Its
-        # vertices are built into one set, charged as the depth - 1 unions
-        # that would join them one at a time.
-        ids = spine_of(layers)
-        tip = singleton(ids[0])
-        new_spine = from_ids(ids)
-        n_pick += depth
-        n_pre += depth - 1
-        n_set += 2 * (depth - 1)
+        if depth == 1:
+            # The pivot has no successor in `vset`, so it is its own SCC:
+            # its spine is itself, and its backward search would stop after
+            # one `pre`.  Neither runs, and `fw - comp` is empty, but both
+            # are charged below as if they had run.
+            comp, steps = node, 1
+        else:
+            # Spine: a shortest path from the pivot to a deepest vertex.
+            # Its vertices are built into one set.
+            ids = spine_of(layers)
+            tip = singleton(ids[0])
+            new_spine = from_ids(ids)
 
-        # The pivot's SCC: backward search inside the forward set, one `pre`
-        # per layer of the never-empty pivot, the last finding nothing new.
-        back, comp = layers_of(pre, node, fw)
-        steps = len(back)
-        n_pre += steps
-        n_set += 3 * steps - 1
+            # The pivot's SCC: backward search inside the forward set, one
+            # `pre` per layer of the never-empty pivot, the last finding
+            # nothing new.
+            back, comp = layers_of(pre, node, fw)
+            steps = len(back)
         out.append(comp)
+        # The spine walk, charged as the depth - 1 unions that would join
+        # its vertices one at a time, and the backward search.
+        n_pick += depth
+        n_pre += depth - 1 + steps
+        n_set += 2 * (depth - 1) + 3 * steps - 1
 
         # Outside the forward set the old spine minus the SCC remains a
         # path; its endpoint is the unique predecessor of the removed
         # suffix (the spine is a shortest path, so there is no shortcut).
+        # The three differences of the inner item are charged also when
+        # a one-layer pivot leaves that item empty and skips it.
         rest = difference(vset, fw)
         spine_rest = difference(spine, comp)
         n_set += 5
@@ -115,13 +128,14 @@ def _sccs_skeleton(mgr, svs):
             n_pre += 1
             n_set += 2
         work.append((rest, spine_rest, node_rest))
-        work.append(
-            (
-                difference(fw, comp),
-                difference(new_spine, comp),
-                difference(tip, comp),
+        if depth > 1:
+            work.append(
+                (
+                    difference(fw, comp),
+                    difference(new_spine, comp),
+                    difference(tip, comp),
+                )
             )
-        )
     mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=n_pick)
     return out
 

@@ -287,7 +287,9 @@ class _BitsetBackend:
         """The vertices of `h` with a self-loop, read off their own
         adjacency, so no loop set is built at construction."""
         masks, adj, acc = self.out_masks, self.out_adj, 0
-        for v in self.to_ids(h):
+        while h:
+            v = h.bit_length() - 1
+            h ^= 1 << v
             if (masks[v] >> v & 1) if adj is None else v in adj[v]:
                 acc |= 1 << v
         return acc

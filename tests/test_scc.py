@@ -1,11 +1,13 @@
 """SCC decomposition and lock-step search."""
 
+import collections
 import contextlib
 import random
 
 import pytest
 
 from fairchk import StepCounters, UsageError, all_sccs, lock_step_search
+from fairchk.model import Model
 from fairchk.oracle import tarjan_scc, top_bottom_sccs
 
 from conftest import mgr_for
@@ -18,6 +20,7 @@ from helpers import (
 )
 
 REFERENCE_SEEDS = 200
+SINK_SEEDS = 150
 
 
 class TestAllSccs:
@@ -38,6 +41,19 @@ class TestAllSccs:
     def test_empty_subgraph(self, f1):
         mgr = mgr_for(f1)
         assert all_sccs(mgr, mgr.empty()) == []
+
+    def test_pivot_without_successor_makes_one_search(self, f2, backend, monkeypatch):
+        # Inside {0, 2} neither vertex has a successor: each pivot is its
+        # own part after its forward search, with no spine walk and no
+        # backward search, and is charged as if both had run.
+        mgr = mgr_for(f2, backend)
+        calls = _record_kernel_calls(monkeypatch, mgr)
+        parts = all_sccs(mgr, mgr.from_ids([0, 2]))
+        assert [mgr.to_ids(p) for p in parts] == [[0], [2]]
+        assert [c[:2] for c in calls] == [("post", 1), ("post", 1)]
+        ref = mgr_for(f2, backend)
+        reference_all_sccs(ref, ref.from_ids([0, 2]))
+        assert mgr.snapshot_counters() == ref.snapshot_counters()
 
     @pytest.mark.parametrize("variant", ["skeleton", "fwbw"])
     def test_matches_tarjan_on_random_graphs(self, variant):
@@ -208,6 +224,59 @@ def _kernel_inputs(seed):
     return model, svs_ids, in_ids, out_ids
 
 
+def _sink_heavy_inputs(seed, n_max=40):
+    """A graph of chains into sinks, and the ids of the subset to decompose.
+
+    Edges lead to higher ids, up to four ahead.  A sink keeps a self-loop
+    or has one edge to a drain, a vertex left out of the subset, so that
+    inside the subset it has no successor.  An occasional edge back makes
+    a small cycle.  Every third seed leaves out more vertices, so that
+    more pivots have all their successors outside the subset.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, n_max)
+    drains = set(rng.sample(range(n), max(1, n // 8)))
+    edges = set()
+    for u in range(n):
+        if u in drains:
+            edges.add((u, rng.randrange(n)))
+        elif u == n - 1 or rng.random() < 0.3:
+            edges.add((u, u) if rng.random() < 0.35 else (u, rng.choice(sorted(drains))))
+        else:
+            for _ in range(rng.randint(1, 2)):
+                edges.add((u, rng.randint(u + 1, min(n - 1, u + 4))))
+            if rng.random() < 0.05:
+                edges.add((u, rng.randint(max(0, u - 3), u)))
+    model = Model("graph", n, tuple(sorted(edges)), frozenset()).validate()
+    svs = [v for v in range(n) if v not in drains]
+    if seed % 3 == 0:
+        svs = sorted(rng.sample(svs, rng.randint(1, len(svs))))
+    return model, svs
+
+
+def _record_kernel_calls(monkeypatch, mgr):
+    """A list that receives one record per backend ``layers`` call, as
+    (image name, depth, start ids), and ("spine", depth) per ``spine``
+    call, while the test runs."""
+    calls = []
+    cls = type(mgr._b)
+    layers, spine = cls.layers, cls.spine
+
+    def counted_layers(self, image, start, within):
+        out = layers(self, image, start, within)
+        name = "post" if image == self.post else "pre"
+        calls.append((name, len(out[0]), self.to_ids(start)))
+        return out
+
+    def counted_spine(self, layers_):
+        calls.append(("spine", len(layers_)))
+        return spine(self, layers_)
+
+    monkeypatch.setattr(cls, "layers", counted_layers)
+    monkeypatch.setattr(cls, "spine", counted_spine)
+    return calls
+
+
 def _run_kernels(model, backend, sccs, search, inputs, paused=False):
     """Sets, counters and lock-step trace of one run of both kernels."""
     mgr = mgr_for(model, backend)
@@ -265,3 +334,46 @@ class TestMatchesHandleLevelReference:
             )
             assert got[1] == StepCounters(), seed
             assert got == want, seed
+
+    def test_sink_heavy_decomposition(self, backend, monkeypatch):
+        """Pivots with no successor in their set: sinks with and without a
+        self-loop, ends of chains whose successors are already split off,
+        and vertices whose successors all lie outside `svs`.  Each is its
+        own part after one ``layers`` call, with no ``spine`` call, and the
+        parts and all six counters equal the reference's."""
+        kinds = collections.Counter()
+        for seed in range(SINK_SEEDS):
+            model, svs_ids = _sink_heavy_inputs(seed)
+            mgr = mgr_for(model, backend)
+            want = reference_all_sccs(mgr, mgr.from_ids(svs_ids))
+            want = ([mgr.to_ids(p) for p in want], mgr.snapshot_counters())
+            mgr = mgr_for(model, backend)
+            calls = _record_kernel_calls(monkeypatch, mgr)
+            got = all_sccs(mgr, mgr.from_ids(svs_ids))
+            monkeypatch.undo()
+            assert ([mgr.to_ids(p) for p in got], mgr.snapshot_counters()) == want, seed
+
+            # One pivot per forward search: a one-layer pivot makes no other
+            # call, any other pivot one spine walk and one backward search.
+            pivots = []
+            for call in calls:
+                if call[0] == "post":
+                    pivots.append([call])
+                else:
+                    pivots[-1].append(call)
+            succ, inside = model.out_adjacency(), set(svs_ids)
+            for pivot in pivots:
+                _, depth, start = pivot[0]
+                if depth > 1:
+                    assert [c[0] for c in pivot] == ["post", "spine", "pre"], seed
+                    continue
+                assert len(pivot) == 1, seed
+                (v,) = start
+                if v in succ[v]:
+                    kinds["self-loop"] += 1
+                elif set(succ[v]) <= inside:
+                    kinds["successors split off"] += 1
+                else:
+                    kinds["successor outside svs"] += 1
+        assert min(kinds[k] for k in
+                   ("self-loop", "successors split off", "successor outside svs")) > 0, kinds

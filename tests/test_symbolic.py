@@ -297,7 +297,8 @@ def test_pre_matches_edge_enumeration(rng, n):
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=40))
 def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
     """`is_trivial` on masks, tuples and OBDD, and what it counts: one
-    cardinality operation, and one set operation more on one vertex."""
+    cardinality operation, and one set operation more on one vertex.  The
+    backend's `loops` under it keeps the self-loop vertices of any set."""
     model = _random_model(rng, n)
     forced = {(v, v) for v in rng.sample(range(n), n // 3)}
     edges = tuple(sorted(set(model.edges) | forced))
@@ -315,6 +316,8 @@ def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
             before = mgr.snapshot_counters()
             single = len(draw) == 1
             assert mgr.is_trivial(z) == (single and draw[0] not in loops), draw
+            b = mgr._b
+            assert b.to_ids(b.loops(mgr._h(z))) == sorted(set(draw) & loops), draw
             assert (mgr.snapshot_counters() - before
                     == StepCounters(set_ops=int(single), cardinality_ops=1))
 
