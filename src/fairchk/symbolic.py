@@ -35,8 +35,12 @@ Two interchangeable backends implement the same semantics:
   proportional to the edges.  Set algebra negates no mask.  Images and
   ``to_ids`` walk the bits from the top, so the ints they read shrink as
   they go; past ``_BULK_CUTOVER + 1`` (25) vertices, ``to_ids`` scans one
-  binary string and an image on tuples marks one byte buffer.  Fast and
-  transparent; the reference backend for tests.
+  binary string and an image on tuples marks one byte buffer.  On mask
+  tables, an image of a set of more than 7/8 of the vertices walks the
+  set's complement instead, and tests one mask per vertex of the
+  complement's image, so it costs what the complement costs: the escape
+  image of ``cpre_random`` on a removal round's near-full set is of this
+  kind.  Fast and transparent; the reference backend for tests.
 - ``obdd``: vertex sets are reduced ordered binary decision diagrams over
   the binary encoding of vertex ids (see :mod:`fairchk.obdd`).
 
@@ -155,7 +159,13 @@ class _BitsetBackend:
     takes CPython's slow path for negative ints, about 4 times the cost of
     ``a ^ (a & b)`` on 16,384 bits.  Bit walks take the top vertex first,
     ``v = z.bit_length() - 1`` then ``z ^= 1 << v``, in place of ``z & -z``.
-    On masks, an image ORs one neighbour mask per vertex of its argument.
+    On masks, an image ORs one neighbour mask per vertex of its argument,
+    unless the argument holds more than ``dense`` (7/8 of n) vertices: then
+    it ORs one per vertex of the complement and tests one opposite mask
+    per vertex that image reaches, which is cheaper on sparse relations
+    (``_image_by_complement``).  A one-vertex image pays one int
+    comparison for that test, and ``bit_count`` only when its vertex id is
+    at least ``dense``.
     On tuples, it shifts in one bit per neighbour for the top
     ``_BULK_CUTOVER + 1`` vertices, then marks the neighbours of the rest
     in a ``bytearray`` of ``b"0"``/``b"1"`` read back with one ``int``.
@@ -179,6 +189,14 @@ class _BitsetBackend:
                 inc[v] |= 1 << u
             self.out_masks = out
             self.in_masks = inc
+            # An image of a set of more than `dense` vertices, which is at
+            # least `dense_floor`, is taken from the set's complement.  On
+            # random relations of 1,024 vertices (Python 3.11, one Xeon
+            # core), that was the faster way from 88% of n up at average
+            # out-degree up to 8, and up to 35% slower at out-degree 32.
+            self.dense = 7 * n // 8
+            self.dense_floor = 1 << self.dense
+            self._full_images = [None, None]  # pre, post: built on first use
             self.out_adj = self.in_adj = None
         else:
             self.out_masks = self.in_masks = None
@@ -219,6 +237,8 @@ class _BitsetBackend:
         masks = self.in_masks
         if masks is None:
             return self._image(z, self.in_adj)
+        if z >= self.dense_floor and z.bit_count() > self.dense:
+            return self._image_by_complement(z, masks, self.out_masks, 0)
         acc = 0
         while z:
             v = z.bit_length() - 1
@@ -230,11 +250,42 @@ class _BitsetBackend:
         masks = self.out_masks
         if masks is None:
             return self._image(z, self.out_adj)
+        if z >= self.dense_floor and z.bit_count() > self.dense:
+            return self._image_by_complement(z, masks, self.in_masks, 1)
         acc = 0
         while z:
             v = z.bit_length() - 1
             acc |= masks[v]
             z ^= 1 << v
+        return acc
+
+    def _image_by_complement(self, z, masks, back, side):
+        """The image by `masks` of `z`, read off its complement `y`.
+
+        A vertex in the image of the full set but not in that of `y` has a
+        neighbour, all in `z`; one in the image of `y` is in that of `z`
+        when its `back` mask meets `z`.  The cost follows ``|y|`` plus the
+        size of the image of `y`, not ``|z|``.  `side` indexes the cached
+        image of the full set: 0 for `pre`, 1 for `post`.
+        """
+        y = self.full ^ z
+        near = 0
+        while y:
+            v = y.bit_length() - 1
+            near |= masks[v]
+            y ^= 1 << v
+        acc = self._full_images[side]
+        if acc is None:  # the image of the full set, once per table
+            acc = 0
+            for m in masks:
+                acc |= m
+            self._full_images[side] = acc
+        while near:
+            u = near.bit_length() - 1
+            bit = 1 << u
+            if not back[u] & z:
+                acc ^= bit
+            near ^= bit
         return acc
 
     def _image(self, z, adj):

@@ -35,13 +35,15 @@ def bitset_representation(name):
 
 def sized_ids(rng, n):
     """Random id lists of sizes 0, 1, the bulk cut-over and one either side
-    of it, and n, each clipped to n: every path of the bitset images and
-    of `to_ids` gets an argument."""
+    of it, and n, each clipped to n, then the complement of each: every
+    path of the bitset images and of `to_ids` gets an argument, the mask
+    images of near-full sets, taken from their complements, included."""
     cut = symbolic._BULK_CUTOVER
-    return [
+    sized = [
         sorted(rng.sample(range(n), min(size, n)))
         for size in (0, 1, cut - 1, cut, cut + 1, n)
     ]
+    return sized + [sorted(set(range(n)).difference(ids)) for ids in sized]
 
 
 def random_pairs(rng, n, k, density=0.25):

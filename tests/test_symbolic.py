@@ -260,7 +260,9 @@ def _random_model(rng, n):
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=64))
 def test_pre_matches_edge_enumeration(rng, n):
     """`pre`, `post` and `cpre_random` against a per-vertex enumeration
-    of the edges, under both bitset representations."""
+    of the edges, under both bitset representations.  The targets hold
+    sparse and near-full sets, so mask images take both of their paths;
+    `post` meets vertices without predecessors."""
     model = _random_model(rng, n)
     targets = [[v for v in range(n) if rng.random() < 0.4], *sized_ids(rng, n)]
     within = [v for v in range(n) if rng.random() < 0.6]
@@ -291,6 +293,8 @@ def test_pre_matches_edge_enumeration(rng, n):
                         cpre(inside, set(range(n))),
                         cpre(inside, set(within)))
             assert got == expected, (name, target)
+        if name == "masks":  # the full set's images came from its complement
+            assert None not in mgr._b._full_images
 
 
 @settings(max_examples=60, deadline=None)
