@@ -103,15 +103,18 @@ def _load_instances(args):
         sizes = [_parse_size(item) for item in args.sizes.split(",") if item.strip()]
         if not sizes or args.seeds < 1:
             raise UsageError("sweeps need at least one size and one seed")
-        # A vertex has at most n successors; this also rejects nan and inf.
-        if not 0 <= args.edge_factor <= max(sizes):
-            raise UsageError(f"edge factor must lie in [0, {max(sizes)}]")
+        # Only the random families read the edge factor.  A vertex has at
+        # most n successors, so it is bounded by the smallest size; this
+        # also rejects nan and inf.
+        random_family = args.family in ("random", "mdp-random")
+        if random_family and not 0 <= args.edge_factor <= min(sizes):
+            raise UsageError(f"edge factor must lie in [0, {min(sizes)}]")
         for n in sizes:
             for seed in range(args.seeds):
                 model, pairs = generate_objects(
                     args.family,
                     n=n,
-                    m=max(n, int(args.edge_factor * n)),
+                    m=max(n, int(args.edge_factor * n)) if random_family else None,
                     k=args.k,
                     cycle_size=args.cycle_size,
                     random_fraction=args.random_fraction,

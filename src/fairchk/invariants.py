@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from . import oracle, reach
 from .errors import InvariantViolation
-from .model import bad_vertices
 
 __all__ = [
     "check_candidate",
@@ -51,9 +50,10 @@ def check_no_random_escape(mgr, svs, allowed):
             )
 
 
-def check_end_component(mgr, model, svs, psets=()):
+def check_end_component(mgr, model, svs, removal=None):
     """Accepted end-component: nonempty, strongly connected, has an edge,
-    closed for random vertices and free of bad vertices for `psets`.
+    closed for random vertices and, given the refinement loop's
+    `removal`, left with nothing to remove.
 
     On graphs, which have no random vertices, this is a good component.
     """
@@ -66,8 +66,8 @@ def check_end_component(mgr, model, svs, psets=()):
         member = set(ids)
         if not any(u in member and v in member for u, v in model.edges):
             raise InvariantViolation("accepted component has no edge")
-        if not mgr.is_empty(bad_vertices(mgr, svs, psets)):
-            raise InvariantViolation("accepted component has bad vertices")
+        if removal is not None and not mgr.is_empty(removal(svs)):
+            raise InvariantViolation("accepted component has vertices to remove")
     check_no_random_escape(mgr, svs, mgr.empty())
 
 

@@ -42,7 +42,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
                          mgr, within, targets, debug=debug))
     if improved:
         accepted, found = refine(
-            mgr, model, (), initial, mec_threshold(threshold, model.n, model.m),
+            mgr, model, initial, mec_threshold(threshold, model.n, model.m),
             **operators, escapes=lambda part, whole: mgr.empty(),
             kernels=(all_sccs, lock_step_search),
             debug=debug, mec=True,
@@ -50,7 +50,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
         events = {"rescc": found["rescc"], "lockstep": found["lockstep"]}
     else:
         accepted, rounds = refine_basic(
-            mgr, model, (), initial, **operators,
+            mgr, model, initial, **operators,
             decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,

@@ -53,10 +53,10 @@ def first_sink(n, edges):
     if len(edges) < n:
         sources = {u for u, _ in edges}
         return next(v for v in range(n) if v not in sources)
-    has_edge = bytearray(n)
+    is_source = bytearray(n)
     for u, _ in edges:
-        has_edge[u] = 1
-    sink = has_edge.find(0)
+        is_source[u] = 1
+    sink = is_source.find(0)
     return None if sink < 0 else sink
 
 

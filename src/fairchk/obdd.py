@@ -21,17 +21,17 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-The skeleton kernel's loops ``layers`` (its one breadth-first search, by
-``pre`` or ``post``) and ``spine`` run the ``dd`` operations of the
-backend calls they replace, in the same order (a union with the empty set
-writes nothing), so the node table and the apply cache come out the same.
+The SCC kernels' loops ``layers`` (one breadth-first search, by ``pre``
+or ``post``) and ``spine`` run the ``dd`` operations of the backend calls
+they replace, in the same order (a union with the empty set writes
+nothing), so the node table and the apply cache come out the same.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
 SCC kernel builds each spine once from its vertex ids, which makes only
 the spine's own nodes and no cache entry, rather than keeping every
 partial union of a chain of ``or_``.  The basic MEC solve of the
-1,152-vertex benchmark ladder ends with 28,187 nodes and 411,523 cache
+1,152-vertex benchmark ladder ends with 28,187 nodes and 411,513 cache
 entries.
 """
 

@@ -57,14 +57,13 @@ from .model import Candidate, has_edge
 __all__ = ["refine", "refine_basic"]
 
 
-def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
-                 accepts, debug=False):
+def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
+                 debug=False):
     """Accepted sets among the candidates `initial`, and the round count.
 
     A candidate `svs` with nonempty ``removal(svs)`` loses ``attract(svs,
     removal(svs))``, and ``decompose`` of the rest gives new candidates
     (one round); one with nothing to remove is accepted if ``accepts(svs)``.
-    `psets` serves only the debug checks.
     """
     pending = deque(svs for svs in initial if not mgr.is_trivial(svs))
     good = []
@@ -80,26 +79,25 @@ def refine_basic(mgr, model, psets, initial, removal, attract, decompose,
             pending.extend(part for part in decompose(rest) if not mgr.is_trivial(part))
         elif accepts(svs):
             if debug:
-                invariants.check_end_component(mgr, model, svs, psets)
+                invariants.check_end_component(mgr, model, svs, removal)
             good.append(svs)
         if debug:
             invariants.check_disjoint(mgr, list(pending) + good)
     return good, rounds
 
 
-def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
-           kernels, debug=False, *, mec=False):
+def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
+           debug=False, *, mec=False):
     """Good components among the candidate sets `initial`, and the events.
 
     `kernels` is ``(all_sccs, lock_step_search)``, passed from the
     caller's module bindings rather than imported here (see the module
-    docstring).  `psets` serves only the debug checks.  Returns the
-    accepted components in acceptance order and the counts of removal
-    rounds, SCC splits, lock-step splits and acceptances.  With `mec`,
-    the loop decomposes into MECs: only `lost_out` counts, one removal
-    round suffices (the random attractor of the escapes leaves no random
-    escape), and the lock-step component is accepted whenever it has an
-    edge.
+    docstring).  Returns the accepted components in acceptance order and
+    the counts of removal rounds, SCC splits, lock-step splits and
+    acceptances.  With `mec`, the loop decomposes into MECs: only
+    `lost_out` counts, one removal round suffices (the random attractor
+    of the escapes leaves no random escape), and the lock-step component
+    is accepted whenever it has an edge.
     """
     all_sccs, lock_step_search = kernels
     empty = mgr.empty()
@@ -110,7 +108,7 @@ def refine(mgr, model, psets, initial, thresh, removal, attract, escapes,
 
     def accept(svs):
         if debug:
-            invariants.check_end_component(mgr, model, svs, psets)
+            invariants.check_end_component(mgr, model, svs, removal)
         good.append(svs)
         events["accepted"] += 1
 

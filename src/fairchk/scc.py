@@ -12,8 +12,10 @@ in its set, is its own part: its spine walk, backward search and empty
 inner part are skipped, and charged as before.  Re-using the spine
 remainder as the next pivot is what keeps the total number of one-step
 operations linear in the number of vertices.
-A plain forward/backward variant is kept behind a flag for differential
-testing.
+The plain forward/backward variant, the ``scc`` command's basic
+algorithm, runs from each pivot one forward and one backward search over
+the whole set, as ``layers`` by ``post`` and by ``pre``, and recurses on
+the three parts they leave.
 
 `lock_step_search` interleaves backward searches from vertices that lost
 incoming edges with forward searches from vertices that lost outgoing
@@ -25,17 +27,17 @@ of the split.
 
 The skeleton decomposition and the lock-step search are the hot kernels
 of every solve, so their inner loops run on raw backend handles rather
-than through the manager; the skeleton kernel's two searches and spine
-walk run inside the backend, as ``layers`` by ``post``, ``spine``, and
-``layers`` by ``pre`` per recursion step, or only the first for a pivot
-with no successor.  Each kernel
-checks the ownership of its incoming handles at entry, counts its
+than through the manager, and so does the forward/backward variant; the
+skeleton kernel's two searches and spine walk run inside the backend, as
+``layers`` by ``post``, ``spine``, and ``layers`` by ``pre`` per
+recursion step, or only the first for a pivot with no successor.  Each
+kernel checks the ownership of its incoming handles at entry, counts its
 operations in local tallies, and charges them with ``mgr._charge`` (once
 per call, or once per lock-step round): exactly the counts the same
 sequence of manager calls would make, which a paused block
 (``mgr.counters_paused``) puts back when it ends.  Results are wrapped
 as `VertexSet` on the way out.  Backend methods, these two included, are
-looked up at kernel entry, so patches on the backend classes apply.
+looked up when a kernel runs, so patches on the backend classes apply.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def all_sccs(mgr, svs, variant="skeleton"):
     if variant == "skeleton":
         parts = _sccs_skeleton(mgr, h)
     elif variant == "fwbw":
-        parts = [p.h for p in _sccs_fwbw(mgr, svs)]
+        parts = _sccs_fwbw(mgr, h)
     else:
         raise UsageError(f"unknown SCC variant {variant!r}")
     parts.sort(key=mgr._b.min_vertex)
@@ -141,30 +143,32 @@ def _sccs_skeleton(mgr, svs):
 
 
 def _sccs_fwbw(mgr, svs):
-    def closure(step, pivot, vset):
-        """`pivot` and what `step` reaches from it inside `vset`."""
-        acc = front = pivot
-        while True:
-            new = mgr.difference(mgr.intersect(step(front), vset), acc)
-            if mgr.is_empty(new):
-                return acc
-            acc = mgr.union(acc, new)
-            front = new
-
+    """Raw-handle SCC parts of raw handle `svs` by plain forward and
+    backward searches from each pivot, in discovery order."""
+    b = mgr._b
+    n_pre = n_post = 0
     out = []
     work = [svs]
     while work:
         vset = work.pop()
-        if mgr.is_empty(vset):
+        if b.is_empty(vset):
             continue
-        pivot = mgr.singleton(mgr.pick(vset))
-        fw = closure(mgr.post, pivot, vset)
-        bw = closure(mgr.pre, pivot, vset)
-        comp = mgr.intersect(fw, bw)
+        pivot = b.singleton(b.min_vertex(vset))
+        layers, fw = b.layers(b.post, pivot, vset)
+        n_post += len(layers)
+        layers, bw = b.layers(b.pre, pivot, vset)
+        n_pre += len(layers)
+        comp = b.intersect(fw, bw)
         out.append(comp)
-        work.append(mgr.difference(fw, comp))
-        work.append(mgr.difference(bw, comp))
-        work.append(mgr.difference(vset, mgr.union(fw, bw)))
+        work += (b.difference(fw, comp), b.difference(bw, comp),
+                 b.difference(vset, b.union(fw, bw)))
+    # One pivot per part.  A search of L layers, the pivot first, is
+    # charged as L images, each cut to the set and freed of what was seen
+    # (two set operations), and L - 1 unions of a new layer into what was
+    # seen.  With the five set operations after the searches a pivot costs
+    # 3 * (Lf + Lb + 1).
+    n_set = 3 * (n_pre + n_post + len(out))
+    mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=len(out))
     return out
 
 

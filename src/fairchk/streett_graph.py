@@ -39,14 +39,14 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     if improved:
         empty = mgr.empty()
         good, events = refine(
-            mgr, model, psets, initial, thresh, **operators,
+            mgr, model, initial, thresh, **operators,
             escapes=lambda part, whole: empty,
             kernels=(all_sccs, lock_step_search),
             debug=debug,
         )
     else:
         good, rounds = refine_basic(
-            mgr, model, psets, initial, **operators,
+            mgr, model, initial, **operators,
             decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,

@@ -42,7 +42,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
                          mgr, within, targets, debug=debug))
     if improved:
         good, events = refine(
-            mgr, model, psets, mecs, thresh, **operators,
+            mgr, model, mecs, thresh, **operators,
             escapes=lambda part, whole: random_escapes(mgr, part, whole),
             kernels=(all_sccs, lock_step_search),
             debug=debug,
@@ -50,7 +50,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     else:
         # MECs have edges, so every candidate without bad vertices is accepted.
         good, rounds = refine_basic(
-            mgr, model, psets, mecs, **operators,
+            mgr, model, mecs, **operators,
             decompose=lambda rest: [] if mgr.is_empty(rest) else mec_decomposition(
                 mgr, model, all_sccs(mgr, rest), debug=debug)[0],
             accepts=lambda svs: True,

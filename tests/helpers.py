@@ -192,6 +192,38 @@ def reference_all_sccs(mgr, svs):
     return out
 
 
+def reference_fwbw_sccs(mgr, svs):
+    """Forward/backward SCC decomposition through manager calls, sorted by
+    min id."""
+    def closure(step, pivot, vset):
+        """`pivot` and what `step` reaches from it inside `vset`."""
+        acc = front = pivot
+        while True:
+            new = mgr.difference(mgr.intersect(step(front), vset), acc)
+            if mgr.is_empty(new):
+                return acc
+            acc = mgr.union(acc, new)
+            front = new
+
+    out = []
+    work = [svs]
+    while work:
+        vset = work.pop()
+        if mgr.is_empty(vset):
+            continue
+        pivot = mgr.singleton(mgr.pick(vset))
+        fw = closure(mgr.post, pivot, vset)
+        bw = closure(mgr.pre, pivot, vset)
+        comp = mgr.intersect(fw, bw)
+        out.append(comp)
+        work.append(mgr.difference(fw, comp))
+        work.append(mgr.difference(bw, comp))
+        work.append(mgr.difference(vset, mgr.union(fw, bw)))
+    with mgr.counters_paused():
+        out.sort(key=mgr.min_vertex)
+    return out
+
+
 def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
     """Lock-step search through manager calls; returns (comp, in, out)."""
     h_acc, h_front = {}, {}

@@ -164,10 +164,13 @@ class TestExitCodes:
             ("streett-graph", "--family", "random", "--edge-factor=-inf"),
             ("streett-mdp", "--family", "mdp-random", "--random-fraction", "-inf"),
             ("streett-mdp", "--family", "mdp-random", "--random-fraction=-inf"),
+            # The default factor 2 exceeds the smallest size.
+            ("scc", "--family", "random", "--sizes", "1,4"),
         ],
         ids=["cycle-size", "cycle-size-above-n", "random-fraction", "edge-factor",
              "k", "edge-factor-huge", "edge-factor-minus-inf", "edge-factor=-inf",
-             "random-fraction-minus-inf", "random-fraction=-inf"],
+             "random-fraction-minus-inf", "random-fraction=-inf",
+             "edge-factor-above-smallest-size"],
     )
     def test_bad_sweep_flag(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -271,6 +274,16 @@ class TestSweeps:
             keep = [c for c in range(len(rows[0])) if "time" not in rows[0][c]]
             contents.append([[row[c] for c in keep] for row in rows])
         assert contents[0] == contents[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "grid", "--sizes", "1"),
+        ("--family", "chain-of-cycles", "--sizes", "1", "--cycle-size", "1"),
+    ], ids=["grid", "chain-of-cycles"])
+    def test_edge_factor_ignored_outside_random_families(self, capsys, argv):
+        # The default factor 2 exceeds n = 1, but these families never read it.
+        code, out, err = run_cli(capsys, "scc", *argv, "--check-oracle")
+        assert code == 0, err
+        assert out.endswith("steps=2\n")
 
     def test_sweep_oracle_check_passes(self, capsys):
         code, out, _ = run_cli(

@@ -2,10 +2,16 @@
 
 import pytest
 
-from fairchk import InvariantViolation, StreettPairs, parse_model, pair_sets
+from fairchk import (
+    InvariantViolation,
+    StepCounters,
+    StreettPairs,
+    parse_model,
+    pair_sets,
+)
 from fairchk import invariants
-from fairchk.model import Candidate
-from fairchk.reach import random_attractor
+from fairchk.model import Candidate, bad_vertices
+from fairchk.reach import random_attractor, random_escapes
 from fairchk.refine import _check_separation_attractor
 
 from conftest import mgr_for
@@ -47,13 +53,17 @@ def test_no_random_escape(f3, backend):
 def test_end_component(f1, f2, f3, backend):
     mgr = mgr_for(f1, backend)
     no_grant = pair_sets(mgr, StreettPairs(1, ((frozenset([0]), frozenset()),)))
+
+    def remove_bad(svs):
+        return bad_vertices(mgr, svs, no_grant)
+
     invariants.check_end_component(mgr, f1, mgr.universe)
     with pytest.raises(InvariantViolation, match="empty"):
         invariants.check_end_component(mgr, f1, mgr.empty())
     with pytest.raises(InvariantViolation, match="no edge"):
         invariants.check_end_component(mgr, f1, mgr.from_ids([0]))
-    with pytest.raises(InvariantViolation, match="bad vertices"):
-        invariants.check_end_component(mgr, f1, mgr.universe, no_grant)
+    with pytest.raises(InvariantViolation, match="vertices to remove"):
+        invariants.check_end_component(mgr, f1, mgr.universe, remove_bad)
     mgr = mgr_for(f2, backend)
     with pytest.raises(InvariantViolation, match="not strongly connected"):
         invariants.check_end_component(mgr, f2, mgr.universe)
@@ -61,6 +71,16 @@ def test_end_component(f1, f2, f3, backend):
     invariants.check_end_component(mgr, f3, mgr.from_ids([2]))
     with pytest.raises(InvariantViolation, match="random vertices"):
         invariants.check_end_component(mgr, f3, mgr.from_ids([0, 1]))
+
+    # The MEC loops remove the random vertices with an edge leaving the
+    # candidate: random vertex 1 has the edge 1 -> 2 out of {0, 1}.
+    def escapes(svs):
+        return random_escapes(mgr, svs, mgr.universe)
+
+    invariants.check_end_component(mgr, f3, mgr.from_ids([2]), escapes)
+    assert mgr.snapshot_counters() == StepCounters()
+    with pytest.raises(InvariantViolation, match="vertices to remove"):
+        invariants.check_end_component(mgr, f3, mgr.from_ids([0, 1]), escapes)
 
 
 def test_start_cover(f2, backend):

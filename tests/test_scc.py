@@ -2,7 +2,9 @@
 
 import collections
 import contextlib
+import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -15,12 +17,19 @@ from helpers import (
     bitset_representation,
     lockstep_instance,
     reference_all_sccs,
+    reference_fwbw_sccs,
     reference_lock_step_search,
     scc_instance,
 )
 
 REFERENCE_SEEDS = 200
 SINK_SEEDS = 150
+
+# Each SCC variant and the manager-call reference it must reproduce.
+SCC_KERNELS = (
+    (all_sccs, reference_all_sccs),
+    (partial(all_sccs, variant="fwbw"), reference_fwbw_sccs),
+)
 
 
 class TestAllSccs:
@@ -41,6 +50,12 @@ class TestAllSccs:
     def test_empty_subgraph(self, f1):
         mgr = mgr_for(f1)
         assert all_sccs(mgr, mgr.empty()) == []
+
+    def test_unknown_variant_charges_nothing(self, f1):
+        mgr = mgr_for(f1)
+        with pytest.raises(UsageError, match="unknown SCC variant 'nope'"):
+            all_sccs(mgr, mgr.universe, variant="nope")
+        assert mgr.snapshot_counters() == StepCounters()
 
     def test_pivot_without_successor_makes_one_search(self, f2, backend, monkeypatch):
         # Inside {0, 2} neither vertex has a successor: each pivot is its
@@ -313,27 +328,29 @@ class TestMatchesHandleLevelReference:
             assert got == want, seed
 
     def test_whole_graph_decomposition(self, backend):
-        for seed in range(REFERENCE_SEEDS):
+        for seed, kernels in itertools.product(range(REFERENCE_SEEDS), SCC_KERNELS):
             model = scc_instance(seed, n_max=64)
             runs = []
-            for sccs in (all_sccs, reference_all_sccs):
+            for sccs in kernels:
                 mgr = mgr_for(model, backend)
                 parts = sccs(mgr, mgr.universe)
                 runs.append(([mgr.to_ids(p) for p in parts], mgr.snapshot_counters()))
-            assert runs[0] == runs[1], seed
+            assert runs[0] == runs[1], (seed, kernels[1].__name__)
 
     def test_paused_kernels_charge_nothing(self, backend):
-        for seed in range(REFERENCE_SEEDS // 4):
+        for seed, (sccs, reference_sccs) in itertools.product(
+            range(REFERENCE_SEEDS // 4), SCC_KERNELS
+        ):
             model, *inputs = _kernel_inputs(seed)
             got = _run_kernels(
-                model, backend, all_sccs, lock_step_search, inputs, paused=True
+                model, backend, sccs, lock_step_search, inputs, paused=True
             )
             want = _run_kernels(
-                model, backend, reference_all_sccs, reference_lock_step_search,
+                model, backend, reference_sccs, reference_lock_step_search,
                 inputs, paused=True,
             )
-            assert got[1] == StepCounters(), seed
-            assert got == want, seed
+            assert got[1] == StepCounters(), (seed, reference_sccs.__name__)
+            assert got == want, (seed, reference_sccs.__name__)
 
     def test_sink_heavy_decomposition(self, backend, monkeypatch):
         """Pivots with no successor in their set: sinks with and without a
