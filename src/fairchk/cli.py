@@ -109,13 +109,16 @@ def _load_instances(args):
         random_family = args.family in ("random", "mdp-random")
         if random_family and not 0 <= args.edge_factor <= min(sizes):
             raise UsageError(f"edge factor must lie in [0, {min(sizes)}]")
+        # Only the fairness commands read pairs.  They are drawn after the
+        # model, so asking for none leaves the model as it was.
+        k = args.k if args.command in ("streett-graph", "streett-mdp") else 0
         for n in sizes:
             for seed in range(args.seeds):
                 model, pairs = generate_objects(
                     args.family,
                     n=n,
                     m=max(n, int(args.edge_factor * n)) if random_family else None,
-                    k=args.k,
+                    k=k,
                     cycle_size=args.cycle_size,
                     random_fraction=args.random_fraction,
                     seed=seed,

@@ -31,9 +31,9 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
     """The MECs among the SCCs `initial`, sorted by least vertex, and the
     counts of SCC splits (``rescc``) and lock-step splits.
 
-    `initial` is normally ``all_sccs`` of the universe or of a subset;
-    the driver `_report` below makes that split for ``mec_basic`` and
-    ``mec_improved`` and builds their report.
+    `initial` is the SCC split ``all_sccs(mgr, svs, singles=True)`` of the
+    universe or of a subset `svs`; the driver `_report` below makes that
+    split for ``mec_basic`` and ``mec_improved`` and builds their report.
     Graphs are handled as MDPs without random vertices: their MECs are the
     SCCs that contain at least one edge.
     """
@@ -51,7 +51,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
     else:
         accepted, rounds = refine_basic(
             mgr, model, initial, **operators,
-            decompose=lambda rest: all_sccs(mgr, rest),
+            decompose=lambda rest: all_sccs(mgr, rest, singles=True),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
@@ -63,7 +63,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
 
 def _report(mgr, model, improved, threshold, debug):
     start = time.perf_counter()
-    initial = all_sccs(mgr, mgr.universe)
+    initial = all_sccs(mgr, mgr.universe, singles=True)
     prep = mgr.snapshot_counters()
     mecs, events = mec_decomposition(mgr, model, initial, improved=improved,
                                      threshold=threshold, debug=debug)

@@ -365,8 +365,8 @@ class ObddBackend:
     def is_single(self, h):
         return h != _FALSE and h == self._minterms[self.min_vertex(h)]
 
-    def loops(self, h):
-        return self.dd.and_(h, self._loops)
+    def has_loop(self, v):
+        return self.dd.and_(self._minterms[v], self._loops) != _FALSE
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 

@@ -21,9 +21,17 @@ vertex.  It applies to every candidate the loops queue: the `initial`
 ones, the decomposed rests of :func:`refine_basic`, and the SCC parts,
 rests and lock-step components of :func:`refine`; and, in
 :func:`refine`, to what each removal round leaves of a candidate, which
-is dropped uncounted when the round took all of it.  The
-SCC split still sees the full partition, since a candidate made of one
-SCC and a trivial vertex is not strongly connected.
+is dropped uncounted when the round took all of it.
+
+The SCC parts come as ``all_sccs(mgr, svs, singles=True)`` returns them,
+as `initial`, from ``decompose`` and in the SCC split of :func:`refine`:
+the parts of two or more vertices as sets, the one-vertex parts as
+vertex ids, and the count of parts.  An id is tested for a self-loop by
+id (``SymbolicManager.looped_singletons``), at the cost of the test on
+its one-vertex set, and with one it is queued as that set, in its place
+by least vertex.  The SCC split of :func:`refine` accepts on the count,
+which includes the trivial parts, since a candidate made of one SCC and
+a trivial vertex is not strongly connected.
 
 The three problems differ only in their operators, which each driver
 defines once and passes to both loops:
@@ -57,6 +65,17 @@ from .model import Candidate, has_edge
 __all__ = ["refine", "refine_basic"]
 
 
+def _nontrivial(mgr, split):
+    """The parts of the SCC split `split`, ``(parts, ids, count)``, that
+    are not trivial, as sets ascending by least vertex."""
+    parts, ids, _ = split
+    kept = [part for part in parts if not mgr.is_trivial(part)]
+    looped = mgr.looped_singletons(ids)
+    if looped:
+        kept = sorted(kept + looped, key=mgr.min_vertex)
+    return kept
+
+
 def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
                  debug=False):
     """Accepted sets among the candidates `initial`, and the round count.
@@ -64,8 +83,10 @@ def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
     A candidate `svs` with nonempty ``removal(svs)`` loses ``attract(svs,
     removal(svs))``, and ``decompose`` of the rest gives new candidates
     (one round); one with nothing to remove is accepted if ``accepts(svs)``.
+    `initial` and what ``decompose`` returns are SCC splits (see the
+    module docstring).
     """
-    pending = deque(svs for svs in initial if not mgr.is_trivial(svs))
+    pending = deque(_nontrivial(mgr, initial))
     good = []
     rounds = 0
     while pending:
@@ -76,7 +97,7 @@ def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
             rest = mgr.difference(svs, attract(svs, removed))
             if debug:
                 invariants.check_no_random_escape(mgr, rest, mgr.empty())
-            pending.extend(part for part in decompose(rest) if not mgr.is_trivial(part))
+            pending.extend(_nontrivial(mgr, decompose(rest)))
         elif accepts(svs):
             if debug:
                 invariants.check_end_component(mgr, model, svs, removal)
@@ -88,7 +109,8 @@ def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
 
 def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
            debug=False, *, mec=False):
-    """Good components among the candidate sets `initial`, and the events.
+    """Good components among the candidates of the SCC split `initial`,
+    and the events.
 
     `kernels` is ``(all_sccs, lock_step_search)``, passed from the
     caller's module bindings rather than imported here (see the module
@@ -101,8 +123,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
     """
     all_sccs, lock_step_search = kernels
     empty = mgr.empty()
-    pending = deque(Candidate(comp, empty, empty) for comp in initial
-                    if not mgr.is_trivial(comp))
+    pending = deque(Candidate(comp, empty, empty) for comp in _nontrivial(mgr, initial))
     good = []
     events = {"rescc": 0, "lockstep": 0, "accepted": 0, "bad_rounds": 0}
 
@@ -171,13 +192,11 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
             accept(svs)
         elif witnesses >= thresh:
             events["rescc"] += 1
-            parts = all_sccs(mgr, svs)
-            if len(parts) == 1:
+            split = all_sccs(mgr, svs, singles=True)
+            if split[2] == 1:  # the count of parts, one-vertex ones included
                 accept(svs)
             else:
-                for part in parts:
-                    if mgr.is_trivial(part):
-                        continue
+                for part in _nontrivial(mgr, split):
                     leaving = escapes(part, svs)
                     if mgr.is_empty(leaving):
                         pending.append(Candidate(part, empty, empty))

@@ -12,6 +12,12 @@ in its set, is its own part: its spine walk, backward search and empty
 inner part are skipped, and charged as before.  Re-using the spine
 remainder as the next pivot is what keeps the total number of one-step
 operations linear in the number of vertices.
+A part whose backward search stops after one layer, including one whose
+forward search did, is its pivot alone.  With ``singles``, as the
+refinement loops call it, the kernel keeps the pivot's id for such a
+part, not its set: on a bit mask a one-vertex set is as wide as its
+vertex id, so keeping one per part held memory quadratic in the number of
+vertices on graphs where most parts are single vertices.
 The plain forward/backward variant, the ``scc`` command's basic
 algorithm, runs from each pivot one forward and one backward search over
 the whole set, as ``layers`` by ``post`` and by ``pre``, and recurses on
@@ -36,8 +42,9 @@ operations in local tallies, and charges them with ``mgr._charge`` (once
 per call, or once per lock-step round): exactly the counts the same
 sequence of manager calls would make, which a paused block
 (``mgr.counters_paused``) puts back when it ends.  Results are wrapped
-as `VertexSet` on the way out.  Backend methods, these two included, are
-looked up when a kernel runs, so patches on the backend classes apply.
+as `VertexSet` on the way out, except the ids of one-vertex parts.
+Backend methods, these two included, are looked up when a kernel runs,
+so patches on the backend classes apply.
 """
 
 from __future__ import annotations
@@ -48,32 +55,45 @@ from .symbolic import VertexSet
 __all__ = ["all_sccs", "lock_step_search"]
 
 
-def all_sccs(mgr, svs, variant="skeleton"):
+def all_sccs(mgr, svs, variant="skeleton", *, singles=False):
     """SCC partition of the subgraph induced by `svs`.
 
     Returns vertex sets ordered by ascending minimum vertex id.  The
     default variant takes O(|svs|) symbolic steps.
+
+    With `singles`, returns ``(parts, ids, count)`` instead: the parts of
+    two or more vertices as vertex sets, ordered as above, the vertices
+    of the one-vertex parts as ascending ids, and the number of parts.
+    The counters move as without it.  The forward/backward variant keeps
+    every part as a vertex set, so its `ids` are empty.
     """
     h = mgr._h(svs)
+    b = mgr._b
     if variant == "skeleton":
-        parts = _sccs_skeleton(mgr, h)
+        parts, ids = _sccs_skeleton(mgr, h)
     elif variant == "fwbw":
-        parts = _sccs_fwbw(mgr, h)
+        parts, ids = _sccs_fwbw(mgr, h), []
     else:
         raise UsageError(f"unknown SCC variant {variant!r}")
-    parts.sort(key=mgr._b.min_vertex)
-    return [VertexSet(mgr, p) for p in parts]
+    if singles:
+        ids.sort()
+    else:
+        parts += map(b.singleton, ids)
+    parts.sort(key=b.min_vertex)
+    sets = [VertexSet(mgr, p) for p in parts]
+    return (sets, ids, len(sets) + len(ids)) if singles else sets
 
 
 def _sccs_skeleton(mgr, svs):
-    """Raw-handle SCC parts of raw handle `svs`, in discovery order."""
+    """Raw-handle SCC parts of raw handle `svs` of two or more vertices,
+    and the ids of the one-vertex parts, both in discovery order."""
     b = mgr._b
     pre, post, layers_of, spine_of = b.pre, b.post, b.layers, b.spine
     intersect, difference = b.intersect, b.difference
     is_empty, min_vertex = b.is_empty, b.min_vertex
     singleton, from_ids = b.singleton, b.from_ids
     n_pre = n_post = n_set = n_pick = 0
-    out = []
+    out, singles = [], []
     empty = b.empty()
     work = [(svs, empty, empty)]
     while work:
@@ -108,7 +128,10 @@ def _sccs_skeleton(mgr, svs):
             # nothing new.
             back, comp = layers_of(pre, node, fw)
             steps = len(back)
-        out.append(comp)
+        if steps == 1:  # the pivot alone, kept as its id
+            singles.append(min_vertex(node))
+        else:
+            out.append(comp)
         # The spine walk, charged as the depth - 1 unions that would join
         # its vertices one at a time, and the backward search.
         n_pick += depth
@@ -139,7 +162,7 @@ def _sccs_skeleton(mgr, svs):
                 )
             )
     mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=n_pick)
-    return out
+    return out, singles
 
 
 def _sccs_fwbw(mgr, svs):

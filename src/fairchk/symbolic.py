@@ -21,8 +21,10 @@ loops: ``spine``, and ``layers(image, start, within)``, one breadth-first
 search by ``pre`` or ``post`` that also serves ``reach_backward``.  The
 kernel builds each spine of ``d`` vertices once from its ids and charges
 it as the ``d - 1`` binary unions that would join them.  It also has
-``is_single`` and ``loops`` (the vertices of a set with a self-loop), which
-serve :meth:`SymbolicManager.is_trivial` in constant time on one vertex.
+``is_single`` and ``has_loop`` (whether one vertex, given by its id, has a
+self-loop), which serve :meth:`SymbolicManager.is_trivial` in constant time
+on one vertex, and :meth:`SymbolicManager.looped_singletons` on the ids of
+the one-vertex parts of an SCC split.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -334,16 +336,12 @@ class _BitsetBackend:
     def is_single(self, h):
         return h != 0 and h == 1 << (h.bit_length() - 1)
 
-    def loops(self, h):
-        """The vertices of `h` with a self-loop, read off their own
-        adjacency, so no loop set is built at construction."""
-        masks, adj, acc = self.out_masks, self.out_adj, 0
-        while h:
-            v = h.bit_length() - 1
-            h ^= 1 << v
-            if (masks[v] >> v & 1) if adj is None else v in adj[v]:
-                acc |= 1 << v
-        return acc
+    def has_loop(self, v):
+        """Whether `v` has a self-loop, read off its own adjacency, so no
+        loop set is built at construction."""
+        if self.out_adj is None:
+            return self.out_masks[v] >> v & 1 == 1
+        return v in self.out_adj[v]
 
     def layers(self, image, start, within):
         """Layers by `image` from `start` inside `within`, and their union."""
@@ -556,7 +554,22 @@ class SymbolicManager:
         if not self._b.is_single(h):
             return False
         self.counters.set_ops += 1
-        return self._b.is_empty(self._b.loops(h))
+        return not self._b.has_loop(self._b.min_vertex(h))
+
+    def looped_singletons(self, ids) -> list:
+        """The one-vertex sets of the vertices in the list `ids` that have a
+        self-loop.
+
+        Each id costs what :meth:`is_trivial` costs on its one-vertex set:
+        one cardinality and one set operation.  Every id is checked before
+        anything is counted.
+        """
+        for v in ids:
+            if not 0 <= v < self.n:
+                raise UsageError(f"vertex {v} out of range")
+        self._charge(set_ops=len(ids), cardinality=len(ids))
+        b = self._b
+        return [VertexSet(self, b.singleton(v)) for v in ids if b.has_loop(v)]
 
     def pick(self, z: VertexSet) -> int:
         """An arbitrary vertex of `z`; deterministically the minimum id."""

@@ -285,6 +285,19 @@ class TestSweeps:
         assert code == 0, err
         assert out.endswith("steps=2\n")
 
+    @pytest.mark.parametrize("argv, code", [
+        (("scc", "--family", "grid", "--sizes", "4"), 0),
+        (("mec", "--family", "mdp-random", "--sizes", "8"), 0),
+        (("streett-graph", "--family", "random", "--sizes", "8"), 1),
+    ], ids=["scc", "mec", "streett-graph"])
+    def test_k_checked_only_where_pairs_are_read(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv, "--k", "-1", "--check-oracle")
+        assert got == code, err
+        if code:
+            assert err == "error: the number of pairs must be non-negative\n"
+        else:
+            assert "steps=" in out
+
     def test_sweep_oracle_check_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "streett-mdp", "--compare", "--check-oracle",

@@ -90,7 +90,8 @@ class TestEquivalence:
                 if rng.random() < 0.6
             )
             mgr = mgr_for(model)
-            got, _ = mec_decomposition(mgr, model, all_sccs(mgr, mgr.from_ids(svs)))
+            got, _ = mec_decomposition(
+                mgr, model, all_sccs(mgr, mgr.from_ids(svs), singles=True))
             assert [mgr.to_ids(c) for c in got] == explicit_mec(model, svs), seed
 
     def test_graphs_allowed(self, f2):

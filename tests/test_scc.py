@@ -4,11 +4,13 @@ import collections
 import contextlib
 import itertools
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
 
 from fairchk import StepCounters, UsageError, all_sccs, lock_step_search
+from fairchk.generate import random_edges
 from fairchk.model import Model
 from fairchk.oracle import tarjan_scc, top_bottom_sccs
 
@@ -304,6 +306,25 @@ def _run_kernels(model, backend, sccs, search, inputs, paused=False):
     return sets, mgr.snapshot_counters(), trace
 
 
+def test_singles_entry_peak_memory_on_a_sparse_graph():
+    """On 16,384 vertices and 1.2 edges per vertex, 11,320 of the 11,321
+    SCC parts are single vertices.  The split that keeps them as ids peaks
+    at about 0.46 MiB under `tracemalloc`; as one-vertex bit masks, each
+    as wide as its vertex id, they took 13 MiB, quadratic in the vertices."""
+    n = 16384
+    model = Model("graph", n, tuple(random_edges(random.Random(0), n, 6 * n // 5)),
+                  frozenset()).validate()
+    mgr = mgr_for(model)
+    tracemalloc.start()
+    try:
+        parts, ids, count = all_sccs(mgr, mgr.universe, singles=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) > n // 2 and count == len(parts) + len(ids)
+    assert peak < 2 * 2**20, peak
+
+
 class TestMatchesHandleLevelReference:
     """The raw-handle kernels return, charge and trace exactly what the
     same sequence of counted manager calls does."""
@@ -394,3 +415,43 @@ class TestMatchesHandleLevelReference:
                     kinds["successor outside svs"] += 1
         assert min(kinds[k] for k in
                    ("self-loop", "successors split off", "successor outside svs")) > 0, kinds
+
+    def test_singles_entry_matches_the_reference(self, backend, monkeypatch):
+        """``all_sccs(..., singles=True)``: its sets of two or more vertices
+        and its one-vertex ids make the reference partition, its count is
+        the number of parts, and all six counters are the reference's;
+        paused, it charges nothing.  The inputs have one-vertex parts with
+        a self-loop, and ones whose backward search stopped after one layer
+        while their forward search did not."""
+        inputs = [(scc_instance(seed, n_max=64), None) for seed in range(REFERENCE_SEEDS)]
+        inputs += [_sink_heavy_inputs(seed) for seed in range(SINK_SEEDS)]
+        kinds = collections.Counter()
+        for i, (model, svs_ids) in enumerate(inputs):
+            mgr = mgr_for(model, backend)
+            svs = mgr.universe if svs_ids is None else mgr.from_ids(svs_ids)
+            want = [mgr.to_ids(p) for p in reference_all_sccs(mgr, svs)]
+            want_counters = mgr.snapshot_counters()
+            mgr = mgr_for(model, backend)
+            svs = mgr.universe if svs_ids is None else mgr.from_ids(svs_ids)
+            calls = _record_kernel_calls(monkeypatch, mgr)
+            parts, ids, count = all_sccs(mgr, svs, singles=True)
+            monkeypatch.undo()
+            counters = mgr.snapshot_counters()
+            got = [mgr.to_ids(p) for p in parts]
+            assert counters == want_counters, i
+            assert min(map(len, got), default=2) > 1 and ids == sorted(ids), i
+            assert sorted(got + [[v] for v in ids]) == want, i
+            assert got == [p for p in want if len(p) > 1], i
+            assert count == len(want), i
+            with mgr.counters_paused():
+                assert all_sccs(mgr, svs, singles=True) == (parts, ids, count), i
+            assert mgr.snapshot_counters() == counters, i
+            # The forward/backward variant keeps every part as a set.
+            fwbw = all_sccs(mgr, svs, "fwbw", singles=True)
+            assert ([mgr.to_ids(p) for p in fwbw[0]], fwbw[1:]) == (want, ([], count)), i
+
+            loops = {u for u, v in model.edges if u == v}
+            kinds["self-loop"] += len(loops.intersection(ids))
+            kinds["backward search of one layer"] += sum(
+                1 for call in calls if call[:2] == ("pre", 1))
+        assert min(kinds.values()) > 0 and len(kinds) == 2, kinds

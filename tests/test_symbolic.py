@@ -201,6 +201,9 @@ class TestHandleHygiene:
                 mgr.singleton(v)
             with pytest.raises(UsageError):
                 mgr.contains(mgr.universe, v)
+            with pytest.raises(UsageError):
+                mgr.looped_singletons([0, v])
+        assert mgr.snapshot_counters() == StepCounters()  # nothing counted
 
     def test_sink_rejected_at_construction(self):
         with pytest.raises(ModelError, match="vertex 1 has no outgoing edge"):
@@ -302,7 +305,8 @@ def test_pre_matches_edge_enumeration(rng, n):
 def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
     """`is_trivial` on masks, tuples and OBDD, and what it counts: one
     cardinality operation, and one set operation more on one vertex.  The
-    backend's `loops` under it keeps the self-loop vertices of any set."""
+    backend's `has_loop` under it tells the self-loop vertices by id, and
+    `looped_singletons` charges what `is_trivial` does per vertex."""
     model = _random_model(rng, n)
     forced = {(v, v) for v in rng.sample(range(n), n // 3)}
     edges = tuple(sorted(set(model.edges) | forced))
@@ -321,9 +325,13 @@ def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
             single = len(draw) == 1
             assert mgr.is_trivial(z) == (single and draw[0] not in loops), draw
             b = mgr._b
-            assert b.to_ids(b.loops(mgr._h(z))) == sorted(set(draw) & loops), draw
+            assert {v for v in draw if b.has_loop(v)} == set(draw) & loops, draw
             assert (mgr.snapshot_counters() - before
                     == StepCounters(set_ops=int(single), cardinality_ops=1))
+        before = mgr.snapshot_counters()
+        looped = mgr.looped_singletons(list(range(n)))
+        assert [mgr.to_ids(z) for z in looped] == [[v] for v in sorted(loops)]
+        assert mgr.snapshot_counters() - before == StepCounters(set_ops=n, cardinality_ops=n)
 
 
 @settings(max_examples=120, deadline=None)
