@@ -3,8 +3,8 @@
 Runs the decomposition and fairness algorithms on model files or on
 generated benchmark families, optionally comparing the basic and the
 improved variant, checking against the explicit oracles, and emitting CSV
-step-count reports.  Exit codes: 0 ok, 1 validation or usage error,
-2 oracle mismatch, 3 I/O error.
+step-count reports.  Exit codes: 0 ok, 1 validation or usage error, or
+out of memory, 2 oracle mismatch, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import FairchkError, ModelError, UsageError
 from .generate import FAMILIES, generate_objects
 from .model import StreettPairs, parse_model, parse_pairs
-from .runner import COMMANDS, oracle_matches, run_command
+from .runner import COMMANDS, PAIRS_COMMANDS, oracle_matches, run_command
 from .thresholds import parse_threshold
 
 __all__ = ["main"]
@@ -100,6 +100,8 @@ def _read_text(path):
 def _load_instances(args):
     """Yield (instance_id, model, pairs) for files or generated sweeps."""
     if args.family:
+        if args.model or args.pairs:
+            raise UsageError("--family generates its instances; it reads no --model or --pairs")
         sizes = [_parse_size(item) for item in args.sizes.split(",") if item.strip()]
         if not sizes or args.seeds < 1:
             raise UsageError("sweeps need at least one size and one seed")
@@ -111,7 +113,7 @@ def _load_instances(args):
             raise UsageError(f"edge factor must lie in [0, {min(sizes)}]")
         # Only the fairness commands read pairs.  They are drawn after the
         # model, so asking for none leaves the model as it was.
-        k = args.k if args.command in ("streett-graph", "streett-mdp") else 0
+        k = args.k if args.command in PAIRS_COMMANDS else 0
         for n in sizes:
             for seed in range(args.seeds):
                 model, pairs = generate_objects(
@@ -128,12 +130,12 @@ def _load_instances(args):
     if not args.model:
         raise UsageError("either --model or --family is required")
     model = parse_model(_read_text(args.model))
-    if args.pairs:
+    if args.command not in PAIRS_COMMANDS:
+        pairs = StreettPairs(0, ())  # a --pairs file is not opened
+    elif args.pairs:
         pairs = parse_pairs(_read_text(args.pairs), model.n)
-    elif args.command in ("streett-graph", "streett-mdp"):
-        pairs = None  # run_command rejects the missing pairs file
     else:
-        pairs = StreettPairs(0, ())
+        pairs = None  # run_command rejects the missing pairs file
     yield Path(args.model).stem, model, pairs
 
 
@@ -233,6 +235,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ModelError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory; try smaller sizes", file=sys.stderr)
         return EXIT_VALIDATION
 
 

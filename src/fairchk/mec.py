@@ -31,9 +31,10 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
     """The MECs among the SCCs `initial`, sorted by least vertex, and the
     counts of SCC splits (``rescc``) and lock-step splits.
 
-    `initial` is the SCC split ``all_sccs(mgr, svs, singles=True)`` of the
-    universe or of a subset `svs`; the driver `_report` below makes that
-    split for ``mec_basic`` and ``mec_improved`` and builds their report.
+    `initial` is the SCC split ``all_sccs(mgr, svs)`` of the universe or
+    of a subset `svs`: the parts of two or more vertices as sets, the
+    one-vertex parts as ids.  The driver `_report` below makes that split
+    for ``mec_basic`` and ``mec_improved`` and builds their report.
     Graphs are handled as MDPs without random vertices: their MECs are the
     SCCs that contain at least one edge.
     """
@@ -51,7 +52,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
     else:
         accepted, rounds = refine_basic(
             mgr, model, initial, **operators,
-            decompose=lambda rest: all_sccs(mgr, rest, singles=True),
+            decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )
@@ -63,7 +64,7 @@ def mec_decomposition(mgr, model, initial, improved=True, threshold="auto",
 
 def _report(mgr, model, improved, threshold, debug):
     start = time.perf_counter()
-    initial = all_sccs(mgr, mgr.universe, singles=True)
+    initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     mecs, events = mec_decomposition(mgr, model, initial, improved=improved,
                                      threshold=threshold, debug=debug)

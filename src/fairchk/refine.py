@@ -23,15 +23,15 @@ rests and lock-step components of :func:`refine`; and, in
 :func:`refine`, to what each removal round leaves of a candidate, which
 is dropped uncounted when the round took all of it.
 
-The SCC parts come as ``all_sccs(mgr, svs, singles=True)`` returns them,
-as `initial`, from ``decompose`` and in the SCC split of :func:`refine`:
-the parts of two or more vertices as sets, the one-vertex parts as
-vertex ids, and the count of parts.  An id is tested for a self-loop by
-id (``SymbolicManager.looped_singletons``), at the cost of the test on
-its one-vertex set, and with one it is queued as that set, in its place
-by least vertex.  The SCC split of :func:`refine` accepts on the count,
-which includes the trivial parts, since a candidate made of one SCC and
-a trivial vertex is not strongly connected.
+The SCC parts come as ``all_sccs(mgr, svs)`` returns them, as `initial`,
+from ``decompose`` and in the SCC split of :func:`refine`: the parts of
+two or more vertices as sets and the one-vertex parts as vertex ids.  An
+id is tested for a self-loop by id (``SymbolicManager.looped_singletons``),
+at the cost of the test on its one-vertex set, and with one it is queued
+as that set, in its place by least vertex.  The SCC split of
+:func:`refine` accepts on the number of parts, which includes the
+trivial ones, since a candidate made of one SCC and a trivial vertex is
+not strongly connected.
 
 The three problems differ only in their operators, which each driver
 defines once and passes to both loops:
@@ -65,10 +65,9 @@ from .model import Candidate, has_edge
 __all__ = ["refine", "refine_basic"]
 
 
-def _nontrivial(mgr, split):
-    """The parts of the SCC split `split`, ``(parts, ids, count)``, that
-    are not trivial, as sets ascending by least vertex."""
-    parts, ids, _ = split
+def _nontrivial(mgr, parts, ids):
+    """The parts of the SCC split ``(parts, ids)`` that are not trivial,
+    as sets ascending by least vertex."""
     kept = [part for part in parts if not mgr.is_trivial(part)]
     looped = mgr.looped_singletons(ids)
     if looped:
@@ -86,7 +85,7 @@ def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
     `initial` and what ``decompose`` returns are SCC splits (see the
     module docstring).
     """
-    pending = deque(_nontrivial(mgr, initial))
+    pending = deque(_nontrivial(mgr, *initial))
     good = []
     rounds = 0
     while pending:
@@ -97,7 +96,7 @@ def refine_basic(mgr, model, initial, removal, attract, decompose, accepts,
             rest = mgr.difference(svs, attract(svs, removed))
             if debug:
                 invariants.check_no_random_escape(mgr, rest, mgr.empty())
-            pending.extend(_nontrivial(mgr, decompose(rest)))
+            pending.extend(_nontrivial(mgr, *decompose(rest)))
         elif accepts(svs):
             if debug:
                 invariants.check_end_component(mgr, model, svs, removal)
@@ -123,7 +122,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
     """
     all_sccs, lock_step_search = kernels
     empty = mgr.empty()
-    pending = deque(Candidate(comp, empty, empty) for comp in _nontrivial(mgr, initial))
+    pending = deque(Candidate(comp, empty, empty) for comp in _nontrivial(mgr, *initial))
     good = []
     events = {"rescc": 0, "lockstep": 0, "accepted": 0, "bad_rounds": 0}
 
@@ -192,11 +191,11 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
             accept(svs)
         elif witnesses >= thresh:
             events["rescc"] += 1
-            split = all_sccs(mgr, svs, singles=True)
-            if split[2] == 1:  # the count of parts, one-vertex ones included
+            parts, ids = all_sccs(mgr, svs)
+            if len(parts) + len(ids) == 1:
                 accept(svs)
             else:
-                for part in _nontrivial(mgr, split):
+                for part in _nontrivial(mgr, parts, ids):
                     leaving = escapes(part, svs)
                     if mgr.is_empty(leaving):
                         pending.append(Candidate(part, empty, empty))

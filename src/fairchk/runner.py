@@ -14,6 +14,7 @@ from .thresholds import mec_threshold, streett_threshold
 __all__ = ["run_command", "oracle_matches", "COMMANDS"]
 
 COMMANDS = ("scc", "mec", "streett-graph", "streett-mdp")
+PAIRS_COMMANDS = ("streett-graph", "streett-mdp")  # the commands that read pairs
 
 
 def run_command(command, model, pairs=None, algorithm="improved",
@@ -28,7 +29,7 @@ def run_command(command, model, pairs=None, algorithm="improved",
         raise UsageError(f"unknown algorithm {algorithm!r}")
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}")
-    if pairs is None and command in ("streett-graph", "streett-mdp"):
+    if pairs is None and command in PAIRS_COMMANDS:
         raise UsageError(f"{command} needs a pairs file")
     improved = algorithm == "improved"
     if improved and command != "scc":  # a bad threshold fails before set-up
@@ -38,9 +39,9 @@ def run_command(command, model, pairs=None, algorithm="improved",
     if command == "scc":
         variant = "skeleton" if improved else "fwbw"
         start = time.perf_counter()
-        parts = all_sccs(mgr, mgr.universe, variant=variant)
-        return RunReport.since(mgr, f"scc-{variant}", start, StepCounters(),
-                               components=[mgr.to_ids(p) for p in parts])
+        parts, ids = all_sccs(mgr, mgr.universe, variant=variant)
+        return RunReport.since(mgr, f"scc-{variant}", start, StepCounters(), components=sorted(
+            [mgr.to_ids(p) for p in parts] + [[v] for v in ids]))
     if command == "mec":
         return mec._report(mgr, model, improved, threshold, debug)
     driver = streett_graph if command == "streett-graph" else streett_mdp

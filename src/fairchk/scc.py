@@ -12,16 +12,17 @@ in its set, is its own part: its spine walk, backward search and empty
 inner part are skipped, and charged as before.  Re-using the spine
 remainder as the next pivot is what keeps the total number of one-step
 operations linear in the number of vertices.
-A part whose backward search stops after one layer, including one whose
-forward search did, is its pivot alone.  With ``singles``, as the
-refinement loops call it, the kernel keeps the pivot's id for such a
-part, not its set: on a bit mask a one-vertex set is as wide as its
-vertex id, so keeping one per part held memory quadratic in the number of
-vertices on graphs where most parts are single vertices.
 The plain forward/backward variant, the ``scc`` command's basic
 algorithm, runs from each pivot one forward and one backward search over
 the whole set, as ``layers`` by ``post`` and by ``pre``, and recurses on
 the three parts they leave.
+
+Both variants return one split: the parts of two or more vertices as
+sets, the one-vertex parts as ids.  A part is its pivot alone when the
+skeleton's backward search stops after one layer, or when the fw-bw
+searches meet in the pivot alone.  On a bit mask a one-vertex set is as
+wide as its vertex id, so a set per part took memory quadratic in the
+number of vertices on graphs where most parts are single vertices.
 
 `lock_step_search` interleaves backward searches from vertices that lost
 incoming edges with forward searches from vertices that lost outgoing
@@ -55,33 +56,20 @@ from .symbolic import VertexSet
 __all__ = ["all_sccs", "lock_step_search"]
 
 
-def all_sccs(mgr, svs, variant="skeleton", *, singles=False):
-    """SCC partition of the subgraph induced by `svs`.
+def all_sccs(mgr, svs, variant="skeleton"):
+    """SCC split of the subgraph induced by `svs`, as ``(parts, ids)``.
 
-    Returns vertex sets ordered by ascending minimum vertex id.  The
-    default variant takes O(|svs|) symbolic steps.
-
-    With `singles`, returns ``(parts, ids, count)`` instead: the parts of
-    two or more vertices as vertex sets, ordered as above, the vertices
-    of the one-vertex parts as ascending ids, and the number of parts.
-    The counters move as without it.  The forward/backward variant keeps
-    every part as a vertex set, so its `ids` are empty.
+    `parts` are the parts of two or more vertices, as vertex sets ordered
+    by ascending least vertex; `ids` are the vertices of the one-vertex
+    parts, ascending.  The default variant takes O(|svs|) symbolic steps.
     """
-    h = mgr._h(svs)
-    b = mgr._b
-    if variant == "skeleton":
-        parts, ids = _sccs_skeleton(mgr, h)
-    elif variant == "fwbw":
-        parts, ids = _sccs_fwbw(mgr, h), []
-    else:
+    kernel = {"skeleton": _sccs_skeleton, "fwbw": _sccs_fwbw}.get(variant)
+    if kernel is None:
         raise UsageError(f"unknown SCC variant {variant!r}")
-    if singles:
-        ids.sort()
-    else:
-        parts += map(b.singleton, ids)
-    parts.sort(key=b.min_vertex)
-    sets = [VertexSet(mgr, p) for p in parts]
-    return (sets, ids, len(sets) + len(ids)) if singles else sets
+    parts, ids = kernel(mgr, mgr._h(svs))
+    parts.sort(key=mgr._b.min_vertex)
+    ids.sort()
+    return [VertexSet(mgr, p) for p in parts], ids
 
 
 def _sccs_skeleton(mgr, svs):
@@ -93,7 +81,7 @@ def _sccs_skeleton(mgr, svs):
     is_empty, min_vertex = b.is_empty, b.min_vertex
     singleton, from_ids = b.singleton, b.from_ids
     n_pre = n_post = n_set = n_pick = 0
-    out, singles = [], []
+    out, ids = [], []
     empty = b.empty()
     work = [(svs, empty, empty)]
     while work:
@@ -119,9 +107,9 @@ def _sccs_skeleton(mgr, svs):
         else:
             # Spine: a shortest path from the pivot to a deepest vertex.
             # Its vertices are built into one set.
-            ids = spine_of(layers)
-            tip = singleton(ids[0])
-            new_spine = from_ids(ids)
+            path = spine_of(layers)
+            tip = singleton(path[0])
+            new_spine = from_ids(path)
 
             # The pivot's SCC: backward search inside the forward set, one
             # `pre` per layer of the never-empty pivot, the last finding
@@ -129,7 +117,7 @@ def _sccs_skeleton(mgr, svs):
             back, comp = layers_of(pre, node, fw)
             steps = len(back)
         if steps == 1:  # the pivot alone, kept as its id
-            singles.append(min_vertex(node))
+            ids.append(min_vertex(node))
         else:
             out.append(comp)
         # The spine walk, charged as the depth - 1 unions that would join
@@ -162,27 +150,32 @@ def _sccs_skeleton(mgr, svs):
                 )
             )
     mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=n_pick)
-    return out, singles
+    return out, ids
 
 
 def _sccs_fwbw(mgr, svs):
-    """Raw-handle SCC parts of raw handle `svs` by plain forward and
-    backward searches from each pivot, in discovery order."""
+    """Raw-handle SCC parts of raw handle `svs` of two or more vertices,
+    and the ids of the one-vertex parts, by plain forward and backward
+    searches from each pivot, both in discovery order."""
     b = mgr._b
     n_pre = n_post = 0
-    out = []
+    out, ids = [], []
     work = [svs]
     while work:
         vset = work.pop()
         if b.is_empty(vset):
             continue
-        pivot = b.singleton(b.min_vertex(vset))
+        v = b.min_vertex(vset)
+        pivot = b.singleton(v)
         layers, fw = b.layers(b.post, pivot, vset)
         n_post += len(layers)
         layers, bw = b.layers(b.pre, pivot, vset)
         n_pre += len(layers)
         comp = b.intersect(fw, bw)
-        out.append(comp)
+        if comp == pivot:  # the pivot alone, kept as its id
+            ids.append(v)
+        else:
+            out.append(comp)
         work += (b.difference(fw, comp), b.difference(bw, comp),
                  b.difference(vset, b.union(fw, bw)))
     # One pivot per part.  A search of L layers, the pivot first, is
@@ -190,9 +183,9 @@ def _sccs_fwbw(mgr, svs):
     # (two set operations), and L - 1 unions of a new layer into what was
     # seen.  With the five set operations after the searches a pivot costs
     # 3 * (Lf + Lb + 1).
-    n_set = 3 * (n_pre + n_post + len(out))
-    mgr._charge(pre=n_pre, post=n_post, set_ops=n_set, pick=len(out))
-    return out
+    n_pick = len(out) + len(ids)
+    mgr._charge(pre=n_pre, post=n_post, set_ops=3 * (n_pre + n_post + n_pick), pick=n_pick)
+    return out, ids
 
 
 def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):

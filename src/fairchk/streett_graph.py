@@ -32,7 +32,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     start = time.perf_counter()
     thresh = streett_threshold(threshold, model.n, model.m) if improved else None
     psets = pair_sets(mgr, pairs)
-    initial = all_sccs(mgr, mgr.universe, singles=True)
+    initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     operators = dict(removal=lambda svs: bad_vertices(mgr, svs, psets),
                      attract=lambda within, targets: targets)
@@ -47,7 +47,7 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     else:
         good, rounds = refine_basic(
             mgr, model, initial, **operators,
-            decompose=lambda rest: all_sccs(mgr, rest, singles=True),
+            decompose=lambda rest: all_sccs(mgr, rest),
             accepts=lambda svs: has_edge(mgr, svs),
             debug=debug,
         )

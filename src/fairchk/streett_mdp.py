@@ -8,8 +8,10 @@ vertices and recomputes the MEC decomposition of the rest.  The improved
 loop (``refine.refine``) keeps candidates merely free of escaping random
 edges, removing the attractor of whatever gets removed, so each step gets
 away with an SCC or lock-step split instead of a full MEC recomputation.
-The result is the set of vertices that reach the union of the good
-end-components with probability one.
+The loops take their candidates in the shape of an SCC split, ``(parts,
+ids)``, the one-vertex parts as ids; MECs have edges, so they come as
+``(mecs, [])``.  The result is the set of vertices that reach the union
+of the good end-components with probability one.
 """
 
 from __future__ import annotations
@@ -34,20 +36,16 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     start = time.perf_counter()
     thresh = streett_threshold(threshold, model.n, model.m) if improved else None
     psets = pair_sets(mgr, pairs)
-    initial = all_sccs(mgr, mgr.universe, singles=True)
+    initial = all_sccs(mgr, mgr.universe)
     prep = mgr.snapshot_counters()
     mecs, _ = mec_decomposition(mgr, model, initial, debug=debug)
-
-    def as_split(mecs):
-        # MECs in the shape of the SCC splits the refinement loops take.
-        return mecs, [], len(mecs)
 
     operators = dict(removal=lambda svs: bad_vertices(mgr, svs, psets),
                      attract=lambda within, targets: random_attractor(
                          mgr, within, targets, debug=debug))
     if improved:
         good, events = refine(
-            mgr, model, as_split(mecs), thresh, **operators,
+            mgr, model, (mecs, []), thresh, **operators,
             escapes=lambda part, whole: random_escapes(mgr, part, whole),
             kernels=(all_sccs, lock_step_search),
             debug=debug,
@@ -55,9 +53,9 @@ def _report(mgr, model, pairs, improved, threshold, debug):
     else:
         # MECs have edges, so every candidate without bad vertices is accepted.
         good, rounds = refine_basic(
-            mgr, model, as_split(mecs), **operators,
-            decompose=lambda rest: as_split([] if mgr.is_empty(rest) else mec_decomposition(
-                mgr, model, all_sccs(mgr, rest, singles=True), debug=debug)[0]),
+            mgr, model, (mecs, []), **operators,
+            decompose=lambda rest: ([] if mgr.is_empty(rest) else mec_decomposition(
+                mgr, model, all_sccs(mgr, rest), debug=debug)[0], []),
             accepts=lambda svs: True,
             debug=debug,
         )

@@ -131,7 +131,15 @@ def lockstep_instance(seed, n_max=24):
 # The SCC kernels in fairchk.scc run on raw backend handles and charge their
 # operation tallies in bulk.  These copies make the same calls one by one
 # through the counted manager methods, so they define the sets, counters and
-# lock-step trace records the kernels must reproduce.
+# lock-step trace records the kernels must reproduce.  The SCC references
+# return every part as a set, as a split ``(parts, [])``.
+
+
+def split_ids(mgr, split):
+    """The SCC split ``(parts, ids)`` as one sorted list of id lists, each
+    one-vertex part in `ids` as ``[v]``."""
+    parts, ids = split
+    return sorted([mgr.to_ids(p) for p in parts] + [[v] for v in ids])
 
 
 def reference_all_sccs(mgr, svs):
@@ -189,7 +197,7 @@ def reference_all_sccs(mgr, svs):
         )
     with mgr.counters_paused():
         out.sort(key=mgr.min_vertex)
-    return out
+    return out, []
 
 
 def reference_fwbw_sccs(mgr, svs):
@@ -221,7 +229,7 @@ def reference_fwbw_sccs(mgr, svs):
         work.append(mgr.difference(vset, mgr.union(fw, bw)))
     with mgr.counters_paused():
         out.sort(key=mgr.min_vertex)
-    return out
+    return out, []
 
 
 def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):

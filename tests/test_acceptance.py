@@ -34,6 +34,7 @@ from helpers import (
     mdp_instance,
     ring_chain,
     scc_instance,
+    split_ids,
 )
 
 TRIALS = 10_000
@@ -259,8 +260,7 @@ def test_criterion_8_scc_subroutine():
     for seed in range(TRIALS):
         model = scc_instance(seed, n_max=64)
         mgr = SymbolicManager.from_model(model)
-        parts = all_sccs(mgr, mgr.universe)
-        assert [mgr.to_ids(p) for p in parts] == tarjan_scc(model), f"seed {seed}"
+        assert split_ids(mgr, all_sccs(mgr, mgr.universe)) == tarjan_scc(model), f"seed {seed}"
         steps = mgr.snapshot_counters().headline
         assert steps <= SCC_CONSTANT * model.n, (
             f"seed {seed}: {steps} steps on n={model.n}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchk import SymbolicManager, UsageError
+from fairchk import SymbolicManager, UsageError, cli
 from fairchk.cli import main
 from fairchk.generate import FAMILIES
 from fairchk.runner import COMMANDS, run_command
@@ -191,6 +191,37 @@ class TestExitCodes:
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("flag", ["--model", "--pairs"])
+    def test_family_reads_no_files(self, capsys, flag):
+        code, out, err = run_cli(capsys, "streett-graph", "--family", "random",
+                                 "--sizes", "8", flag, "/no/such/file")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --family generates its instances")
+
+    @pytest.mark.parametrize("command, text", [("scc", F2_TEXT), ("mec", F3_TEXT)],
+                             ids=["scc", "mec"])
+    def test_pairs_file_not_opened_where_pairs_are_not_read(self, tmp_path, capsys,
+                                                            command, text):
+        model, bad = tmp_path / "model.txt", tmp_path / "bad.txt"
+        model.write_text(text)
+        bad.write_text("pairs two\n")
+        for pairs in (bad, tmp_path / "missing.txt"):
+            code, out, err = run_cli(capsys, command, "--model", str(model),
+                                     "--pairs", str(pairs), "--check-oracle")
+            assert code == 0, err
+            assert "oracle-match: true" in out
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def run_command(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_command", run_command)
+        model = tmp_path / "f2.txt"
+        model.write_text(F2_TEXT)
+        code, out, err = run_cli(capsys, "scc", "--model", str(model))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory; try smaller sizes\n"
 
     def test_missing_pairs(self, tmp_path, capsys):
         for command, text in (("streett-graph", F2_TEXT), ("streett-mdp", F3_TEXT)):

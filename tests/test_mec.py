@@ -91,7 +91,7 @@ class TestEquivalence:
             )
             mgr = mgr_for(model)
             got, _ = mec_decomposition(
-                mgr, model, all_sccs(mgr, mgr.from_ids(svs), singles=True))
+                mgr, model, all_sccs(mgr, mgr.from_ids(svs)))
             assert [mgr.to_ids(c) for c in got] == explicit_mec(model, svs), seed
 
     def test_graphs_allowed(self, f2):

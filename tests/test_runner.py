@@ -27,7 +27,7 @@ from fairchk import (
     streett_mdp_improved,
 )
 
-from helpers import graph_instance, mdp_instance
+from helpers import graph_instance, mdp_instance, split_ids
 
 SEEDS = range(6)
 DEBUG_SEEDS = range(200)
@@ -35,9 +35,9 @@ DEBUG_SEEDS = range(200)
 
 def _scc(variant):
     def run(mgr, model, pairs):
-        parts = all_sccs(mgr, mgr.universe, variant=variant)
+        components = split_ids(mgr, all_sccs(mgr, mgr.universe, variant=variant))
         return RunReport(f"scc-{variant}", mgr.snapshot_counters(), StepCounters(),
-                         0.0, components=[mgr.to_ids(p) for p in parts])
+                         0.0, components=components)
     return run
 
 

@@ -22,6 +22,7 @@ from helpers import (
     reference_fwbw_sccs,
     reference_lock_step_search,
     scc_instance,
+    split_ids,
 )
 
 REFERENCE_SEEDS = 200
@@ -37,21 +38,19 @@ SCC_KERNELS = (
 class TestAllSccs:
     def test_two_components(self, f2, backend):
         mgr = mgr_for(f2, backend)
-        parts = all_sccs(mgr, mgr.universe)
-        assert [mgr.to_ids(p) for p in parts] == [[0, 1], [2, 3]]
+        assert split_ids(mgr, all_sccs(mgr, mgr.universe)) == [[0, 1], [2, 3]]
 
     def test_single_cycle(self, f1, backend):
         mgr = mgr_for(f1, backend)
-        assert [mgr.to_ids(p) for p in all_sccs(mgr, mgr.universe)] == [[0, 1, 2]]
+        assert split_ids(mgr, all_sccs(mgr, mgr.universe)) == [[0, 1, 2]]
 
     def test_trivial_components_in_subgraph(self, f2, backend):
         mgr = mgr_for(f2, backend)
-        parts = all_sccs(mgr, mgr.from_ids([1, 2]))
-        assert [mgr.to_ids(p) for p in parts] == [[1], [2]]
+        assert all_sccs(mgr, mgr.from_ids([1, 2])) == ([], [1, 2])
 
     def test_empty_subgraph(self, f1):
         mgr = mgr_for(f1)
-        assert all_sccs(mgr, mgr.empty()) == []
+        assert all_sccs(mgr, mgr.empty()) == ([], [])
 
     def test_unknown_variant_charges_nothing(self, f1):
         mgr = mgr_for(f1)
@@ -65,8 +64,7 @@ class TestAllSccs:
         # backward search, and is charged as if both had run.
         mgr = mgr_for(f2, backend)
         calls = _record_kernel_calls(monkeypatch, mgr)
-        parts = all_sccs(mgr, mgr.from_ids([0, 2]))
-        assert [mgr.to_ids(p) for p in parts] == [[0], [2]]
+        assert all_sccs(mgr, mgr.from_ids([0, 2])) == ([], [0, 2])
         assert [c[:2] for c in calls] == [("post", 1), ("post", 1)]
         ref = mgr_for(f2, backend)
         reference_all_sccs(ref, ref.from_ids([0, 2]))
@@ -77,8 +75,8 @@ class TestAllSccs:
         for seed in range(400):
             model = scc_instance(seed, n_max=32)
             mgr = mgr_for(model)
-            parts = all_sccs(mgr, mgr.universe, variant=variant)
-            assert [mgr.to_ids(p) for p in parts] == tarjan_scc(model), seed
+            split = all_sccs(mgr, mgr.universe, variant=variant)
+            assert split_ids(mgr, split) == tarjan_scc(model), seed
 
     def test_matches_tarjan_on_random_subgraphs(self):
         for seed in range(200):
@@ -86,16 +84,14 @@ class TestAllSccs:
             rng = random.Random(seed ^ 0x5CC)
             svs = sorted(rng.sample(range(model.n), rng.randint(1, model.n)))
             mgr = mgr_for(model)
-            parts = all_sccs(mgr, mgr.from_ids(svs))
-            assert [mgr.to_ids(p) for p in parts] == tarjan_scc(model, svs), seed
+            split = all_sccs(mgr, mgr.from_ids(svs))
+            assert split_ids(mgr, split) == tarjan_scc(model, svs), seed
 
     def test_variants_agree(self):
         for seed in range(150):
             model = scc_instance(seed, n_max=24)
             mgr = mgr_for(model)
-            a = [mgr.to_ids(p) for p in all_sccs(mgr, mgr.universe)]
-            b = [mgr.to_ids(p) for p in all_sccs(mgr, mgr.universe, variant="fwbw")]
-            assert a == b, seed
+            assert all_sccs(mgr, mgr.universe) == all_sccs(mgr, mgr.universe, "fwbw"), seed
 
     def test_linear_step_budget(self):
         # Frozen regression constant; the skeleton variant stays below it
@@ -123,8 +119,7 @@ class TestAllSccs:
         for name, edges in shapes.items():
             model = Model("graph", n, edges, frozenset()).validate()
             mgr = mgr_for(model)
-            parts = all_sccs(mgr, mgr.universe)
-            assert [mgr.to_ids(p) for p in parts] == tarjan_scc(model), name
+            assert split_ids(mgr, all_sccs(mgr, mgr.universe)) == tarjan_scc(model), name
             assert mgr.snapshot_counters().headline <= 6 * n, name
 
 
@@ -300,29 +295,31 @@ def _run_kernels(model, backend, sccs, search, inputs, paused=False):
     svs, lost_in, lost_out = (mgr.from_ids(ids) for ids in inputs)
     trace = []
     with mgr.counters_paused() if paused else contextlib.nullcontext():
-        parts = sccs(mgr, svs)
+        split = sccs(mgr, svs)
         found = search(mgr, svs, lost_in, lost_out, trace=trace)
-    sets = [mgr.to_ids(x) for x in parts] + [mgr.to_ids(x) for x in found]
+    sets = split_ids(mgr, split) + [mgr.to_ids(x) for x in found]
     return sets, mgr.snapshot_counters(), trace
 
 
-def test_singles_entry_peak_memory_on_a_sparse_graph():
+@pytest.mark.parametrize("variant", ["skeleton", "fwbw"])
+def test_split_peak_memory_on_a_sparse_graph(variant):
     """On 16,384 vertices and 1.2 edges per vertex, 11,320 of the 11,321
-    SCC parts are single vertices.  The split that keeps them as ids peaks
-    at about 0.46 MiB under `tracemalloc`; as one-vertex bit masks, each
-    as wide as its vertex id, they took 13 MiB, quadratic in the vertices."""
+    SCC parts are single vertices.  Kept as ids, the skeleton split peaks
+    at about 0.46 MiB under `tracemalloc`, the fw-bw split at 4.2 MiB; as
+    one-vertex bit masks, each as wide as its vertex id, they took 13 MiB
+    and 13.7 MiB, quadratic in the vertices."""
     n = 16384
     model = Model("graph", n, tuple(random_edges(random.Random(0), n, 6 * n // 5)),
                   frozenset()).validate()
     mgr = mgr_for(model)
     tracemalloc.start()
     try:
-        parts, ids, count = all_sccs(mgr, mgr.universe, singles=True)
+        parts, ids = all_sccs(mgr, mgr.universe, variant)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ids) > n // 2 and count == len(parts) + len(ids)
-    assert peak < 2 * 2**20, peak
+    assert len(ids) > n // 2
+    assert peak < {"skeleton": 2, "fwbw": 8}[variant] * 2**20, peak
 
 
 class TestMatchesHandleLevelReference:
@@ -349,14 +346,19 @@ class TestMatchesHandleLevelReference:
             assert got == want, seed
 
     def test_whole_graph_decomposition(self, backend):
-        for seed, kernels in itertools.product(range(REFERENCE_SEEDS), SCC_KERNELS):
+        """Both variants give the reference's partition and all six of its
+        counters, in the split's shape: the parts of two or more vertices
+        as sets by least vertex, then the one-vertex parts as ascending ids."""
+        for seed, (sccs, reference_sccs) in itertools.product(
+            range(REFERENCE_SEEDS), SCC_KERNELS
+        ):
             model = scc_instance(seed, n_max=64)
-            runs = []
-            for sccs in kernels:
-                mgr = mgr_for(model, backend)
-                parts = sccs(mgr, mgr.universe)
-                runs.append(([mgr.to_ids(p) for p in parts], mgr.snapshot_counters()))
-            assert runs[0] == runs[1], (seed, kernels[1].__name__)
+            ref, mgr = mgr_for(model, backend), mgr_for(model, backend)
+            want = split_ids(ref, reference_sccs(ref, ref.universe))
+            parts, ids = sccs(mgr, mgr.universe)
+            got = [mgr.to_ids(p) for p in parts] + [[v] for v in ids]
+            assert got == sorted(want, key=lambda p: len(p) == 1), seed
+            assert mgr.snapshot_counters() == ref.snapshot_counters(), seed
 
     def test_paused_kernels_charge_nothing(self, backend):
         for seed, (sccs, reference_sccs) in itertools.product(
@@ -377,19 +379,20 @@ class TestMatchesHandleLevelReference:
         """Pivots with no successor in their set: sinks with and without a
         self-loop, ends of chains whose successors are already split off,
         and vertices whose successors all lie outside `svs`.  Each is its
-        own part after one ``layers`` call, with no ``spine`` call, and the
-        parts and all six counters equal the reference's."""
+        own part after one ``layers`` call, with no ``spine`` call.  Those
+        and the pivots whose backward search stops after one layer come
+        back as ids, and the split and all six counters are the reference's."""
         kinds = collections.Counter()
         for seed in range(SINK_SEEDS):
             model, svs_ids = _sink_heavy_inputs(seed)
-            mgr = mgr_for(model, backend)
-            want = reference_all_sccs(mgr, mgr.from_ids(svs_ids))
-            want = ([mgr.to_ids(p) for p in want], mgr.snapshot_counters())
-            mgr = mgr_for(model, backend)
+            ref, mgr = mgr_for(model, backend), mgr_for(model, backend)
+            want = split_ids(ref, reference_all_sccs(ref, ref.from_ids(svs_ids)))
             calls = _record_kernel_calls(monkeypatch, mgr)
-            got = all_sccs(mgr, mgr.from_ids(svs_ids))
+            parts, ids = all_sccs(mgr, mgr.from_ids(svs_ids))
             monkeypatch.undo()
-            assert ([mgr.to_ids(p) for p in got], mgr.snapshot_counters()) == want, seed
+            got = [mgr.to_ids(p) for p in parts] + [[v] for v in ids]
+            assert got == sorted(want, key=lambda p: len(p) == 1), seed
+            assert mgr.snapshot_counters() == ref.snapshot_counters(), seed
 
             # One pivot per forward search: a one-layer pivot makes no other
             # call, any other pivot one spine walk and one backward search.
@@ -404,6 +407,7 @@ class TestMatchesHandleLevelReference:
                 _, depth, start = pivot[0]
                 if depth > 1:
                     assert [c[0] for c in pivot] == ["post", "spine", "pre"], seed
+                    kinds["backward search of one layer"] += pivot[2][1] == 1
                     continue
                 assert len(pivot) == 1, seed
                 (v,) = start
@@ -413,45 +417,6 @@ class TestMatchesHandleLevelReference:
                     kinds["successors split off"] += 1
                 else:
                     kinds["successor outside svs"] += 1
-        assert min(kinds[k] for k in
-                   ("self-loop", "successors split off", "successor outside svs")) > 0, kinds
-
-    def test_singles_entry_matches_the_reference(self, backend, monkeypatch):
-        """``all_sccs(..., singles=True)``: its sets of two or more vertices
-        and its one-vertex ids make the reference partition, its count is
-        the number of parts, and all six counters are the reference's;
-        paused, it charges nothing.  The inputs have one-vertex parts with
-        a self-loop, and ones whose backward search stopped after one layer
-        while their forward search did not."""
-        inputs = [(scc_instance(seed, n_max=64), None) for seed in range(REFERENCE_SEEDS)]
-        inputs += [_sink_heavy_inputs(seed) for seed in range(SINK_SEEDS)]
-        kinds = collections.Counter()
-        for i, (model, svs_ids) in enumerate(inputs):
-            mgr = mgr_for(model, backend)
-            svs = mgr.universe if svs_ids is None else mgr.from_ids(svs_ids)
-            want = [mgr.to_ids(p) for p in reference_all_sccs(mgr, svs)]
-            want_counters = mgr.snapshot_counters()
-            mgr = mgr_for(model, backend)
-            svs = mgr.universe if svs_ids is None else mgr.from_ids(svs_ids)
-            calls = _record_kernel_calls(monkeypatch, mgr)
-            parts, ids, count = all_sccs(mgr, svs, singles=True)
-            monkeypatch.undo()
-            counters = mgr.snapshot_counters()
-            got = [mgr.to_ids(p) for p in parts]
-            assert counters == want_counters, i
-            assert min(map(len, got), default=2) > 1 and ids == sorted(ids), i
-            assert sorted(got + [[v] for v in ids]) == want, i
-            assert got == [p for p in want if len(p) > 1], i
-            assert count == len(want), i
-            with mgr.counters_paused():
-                assert all_sccs(mgr, svs, singles=True) == (parts, ids, count), i
-            assert mgr.snapshot_counters() == counters, i
-            # The forward/backward variant keeps every part as a set.
-            fwbw = all_sccs(mgr, svs, "fwbw", singles=True)
-            assert ([mgr.to_ids(p) for p in fwbw[0]], fwbw[1:]) == (want, ([], count)), i
-
-            loops = {u for u, v in model.edges if u == v}
-            kinds["self-loop"] += len(loops.intersection(ids))
-            kinds["backward search of one layer"] += sum(
-                1 for call in calls if call[:2] == ("pre", 1))
-        assert min(kinds.values()) > 0 and len(kinds) == 2, kinds
+        assert min(kinds[k] for k in (
+            "self-loop", "successors split off", "successor outside svs",
+            "backward search of one layer")) > 0, kinds
