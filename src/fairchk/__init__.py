@@ -16,18 +16,9 @@ brute-force oracles for cross-validation.
 from .errors import FairchkError, InvariantViolation, ModelError, UsageError
 from .generate import generate_objects
 from .mec import mec_basic, mec_decomposition, mec_improved
-from .model import (
-    Candidate,
-    Model,
-    StreettPairs,
-    bad_vertices,
-    pair_sets,
-    parse_model,
-    parse_pairs,
-    serialize_model,
-    serialize_pairs,
-)
+from .model import Model, StreettPairs, parse_model, parse_pairs, serialize_model, serialize_pairs
 from .reach import almost_sure_reach, random_attractor, reach_backward
+from .refine import bad_vertices, pair_sets
 from .report import RunReport
 from .runner import oracle_matches, run_command
 from .scc import all_sccs, lock_step_search
@@ -41,7 +32,6 @@ __all__ = [
     "InvariantViolation",
     "ModelError",
     "UsageError",
-    "Candidate",
     "Model",
     "StreettPairs",
     "StepCounters",

@@ -23,10 +23,11 @@ __all__ = [
 ]
 
 
-def check_candidate(mgr, cand):
+def check_candidate(mgr, svs, lost_in, lost_out):
+    """The witnesses of the candidate `svs` must be subsets of it."""
     with mgr.counters_paused():
-        for label, witness in (("lost_in", cand.lost_in), ("lost_out", cand.lost_out)):
-            if not mgr.is_empty(mgr.difference(witness, cand.vertices)):
+        for label, witness in (("lost_in", lost_in), ("lost_out", lost_out)):
+            if not mgr.is_empty(mgr.difference(witness, svs)):
                 raise InvariantViolation(f"{label} is not a subset of the candidate")
 
 

@@ -1,6 +1,6 @@
 """Maximal end-component decomposition of MDPs.
 
-Candidates start as the SCCs of the underlying graph, which the caller
+The candidates start as the SCCs of the underlying graph, which the caller
 splits off first as the preprocessing phase.  They are cleaned of random
 vertices with edges leaving them, together with their random attractor,
 then either accepted as end-components or split further.  The basic
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import time
 
-from .model import has_edge
 from .reach import random_attractor, random_escapes
-from .refine import refine, refine_basic
+from .refine import has_edge, refine, refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import mec_threshold

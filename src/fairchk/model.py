@@ -1,4 +1,4 @@
-"""Model and objective data types, their text formats, and bad vertices.
+"""Model and objective data types, their text formats, and adjacency tuples.
 
 Model file format (whitespace-separated decimals, ``#`` starts a comment)::
 
@@ -30,14 +30,10 @@ from .errors import ModelError
 __all__ = [
     "Model",
     "StreettPairs",
-    "Candidate",
     "parse_model",
     "serialize_model",
     "parse_pairs",
     "serialize_pairs",
-    "bad_vertices",
-    "has_edge",
-    "pair_sets",
     "first_sink",
     "neighbour_tuples",
 ]
@@ -145,21 +141,6 @@ class StreettPairs:
                 if not 0 <= v < n:
                     raise ModelError(f"pair vertex {v} out of range")
         return self
-
-
-@dataclasses.dataclass
-class Candidate:
-    """A candidate vertex set with its lost-edge witnesses.
-
-    `lost_in` collects vertices that lost an incoming edge and `lost_out`
-    vertices that lost an outgoing edge since the last time a superset of
-    `vertices` was known to be strongly connected; both are subsets of
-    `vertices`.
-    """
-
-    vertices: object
-    lost_in: object
-    lost_out: object
 
 
 def _tokens(text):
@@ -272,39 +253,3 @@ def serialize_pairs(pairs: StreettPairs) -> str:
             lines.append(f"U {i} " + " ".join(str(v) for v in sorted(right)))
     return "\n".join(lines) + "\n"
 
-
-def pair_sets(mgr, pairs: StreettPairs) -> list:
-    """The pairs, each with requests, as vertex sets of `mgr` (uncounted setup)."""
-    return [(mgr.from_ids(left), mgr.from_ids(right)) for left, right in pairs.pairs]
-
-
-def bad_vertices(mgr, svs, psets) -> object:
-    """Vertices of `svs` whose request pair has no grant inside `svs`.
-
-    `psets` holds (request, grant) handles of `mgr`, as :func:`pair_sets`
-    makes them.  For each pair whose grant set misses `svs` entirely, the
-    members of the request set inside `svs` are bad.  Uses at most two
-    set operations and one emptiness test per pair.  Runs on raw backend
-    handles, checking the owner of each handle it reads, and charges what
-    the same fold of manager calls counts.
-    """
-    from .symbolic import VertexSet  # symbolic imports this module
-    b, s = mgr._b, mgr._h(svs)
-    intersect, union, is_empty = b.intersect, b.union, b.is_empty
-    acc = b.empty()
-    k = bad = 0
-    for k, (left, right) in enumerate(psets, 1):
-        if right.__class__ is not VertexSet or right.mgr is not mgr:
-            mgr._h(right)
-        if is_empty(intersect(right.h, s)):
-            if left.__class__ is not VertexSet or left.mgr is not mgr:
-                mgr._h(left)
-            acc = union(acc, left.h)
-            bad += 1
-    mgr._charge(set_ops=k + bad)
-    return VertexSet(mgr, intersect(acc, s) if bad else acc)
-
-
-def has_edge(mgr, svs) -> bool:
-    """Whether `svs` induces an edge: one post and one set operation."""
-    return not mgr.is_empty(mgr.intersect(mgr.post(svs), svs))

@@ -1,10 +1,12 @@
-"""The refinement loops of the fairness and MEC algorithms.
+"""The refinement loops of the fairness and MEC algorithms, and the
+operators they share.
 
 :func:`refine_basic` runs the three basic variants (graph fairness, MDP
 fairness, MEC decomposition): it removes what cannot stay in a candidate,
 with its attractor, and decomposes the rest from scratch.  :func:`refine`
-runs the three improved ones.  Each of its candidates carries the vertices
-that lost an incoming (`lost_in`) or an outgoing (`lost_out`) edge since a
+runs the three improved ones.  Each of its candidates is a triple
+``(vertices, lost_in, lost_out)``: the witnesses are the vertices that
+lost an incoming (`lost_in`) or an outgoing (`lost_out`) edge since a
 superset was last known to be strongly connected; MEC candidates carry
 `lost_out` only.  Per candidate, what `removal` finds is removed until
 nothing remains, the witnesses updated along the removal boundary; a
@@ -37,8 +39,10 @@ The three problems differ only in their operators, which each driver
 defines once and passes to both loops:
 
 - ``removal(svs)``: what cannot stay in the candidate `svs`.  The
-  fairness problems remove the bad vertices of their pairs; the MEC
-  decomposition removes the random vertices with an edge leaving `svs`.
+  fairness problems remove the bad vertices of their pairs
+  (:func:`bad_vertices` on the table :func:`pair_sets` reads once per
+  solve); the MEC decomposition removes the random vertices with an edge
+  leaving `svs`.
 - ``attract(within, targets)``: the vertices of `within` removed with
   `targets`.  Graphs remove `targets` alone; MDPs remove their random
   attractor.
@@ -59,10 +63,51 @@ from __future__ import annotations
 from collections import deque
 
 from . import invariants
-from .errors import InvariantViolation
-from .model import Candidate, has_edge
+from .errors import InvariantViolation, UsageError
+from .symbolic import VertexSet
 
-__all__ = ["refine", "refine_basic"]
+__all__ = ["refine", "refine_basic", "pair_sets", "bad_vertices", "has_edge"]
+
+
+def pair_sets(mgr, pairs) -> tuple:
+    """The table of the pairs of `pairs` with requests, for :func:`bad_vertices`.
+
+    Opaque: ``(mgr, [(request, grant), ...])``, raw handles of `mgr` made
+    once per solve through ``mgr.from_ids``, which range-checks the ids
+    (uncounted setup).
+    """
+    return mgr, [(mgr.from_ids(left).h, mgr.from_ids(right).h)
+                 for left, right in pairs.pairs]
+
+
+def bad_vertices(mgr, svs, psets) -> VertexSet:
+    """Vertices of `svs` whose request pair has no grant inside `svs`.
+
+    `psets` is a table of `mgr` made by :func:`pair_sets`; its owner is
+    checked once, before anything is counted.  For each pair whose grant
+    set misses `svs` entirely, the members of the request set inside `svs`
+    are bad.  The fold runs on the table's raw handles and charges what
+    the same fold of manager calls counts: one set operation per pair,
+    and one more per pair whose grants miss.
+    """
+    owner, table = psets
+    if owner is not mgr:
+        raise UsageError("pair table belongs to a different manager")
+    b, s = mgr._b, mgr._h(svs)
+    intersect, union, is_empty = b.intersect, b.union, b.is_empty
+    acc = b.empty()
+    bad = 0
+    for request, grant in table:
+        if is_empty(intersect(grant, s)):
+            acc = union(acc, request)
+            bad += 1
+    mgr._charge(set_ops=len(table) + bad)
+    return VertexSet(mgr, intersect(acc, s) if bad else acc)
+
+
+def has_edge(mgr, svs) -> bool:
+    """Whether `svs` induces an edge: one post and one set operation."""
+    return not mgr.is_empty(mgr.intersect(mgr.post(svs), svs))
 
 
 def _nontrivial(mgr, parts, ids):
@@ -122,7 +167,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
     """
     all_sccs, lock_step_search = kernels
     empty = mgr.empty()
-    pending = deque(Candidate(comp, empty, empty) for comp in _nontrivial(mgr, *initial))
+    pending = deque((comp, empty, empty) for comp in _nontrivial(mgr, *initial))
     good = []
     events = {"rescc": 0, "lockstep": 0, "accepted": 0, "bad_rounds": 0}
 
@@ -147,7 +192,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
         rest = mgr.difference(part, removed)
         if not mgr.is_empty(rest) and not mgr.is_trivial(rest):
             witnesses = boundary(rest, removed, lost_in, lost_out)
-            pending.append(Candidate(rest, *witnesses))
+            pending.append((rest, *witnesses))
 
     def split_off(svs, comp, lost_in, lost_out):
         # `svs` loses what `comp` attracts in it, `comp` included; `comp`
@@ -159,15 +204,14 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
         if debug:
             _check_separation_attractor(mgr, attract, svs, comp, comp_attr)
         if mgr.is_empty(comp_attr):
-            pending.append(Candidate(comp, empty, empty))
+            pending.append((comp, empty, empty))
         else:
             push_rest(comp, comp_attr)
 
     while pending:
-        cand = pending.popleft()
+        svs, lost_in, lost_out = pending.popleft()
         if debug:
-            invariants.check_candidate(mgr, cand)
-        svs, lost_in, lost_out = cand.vertices, cand.lost_in, cand.lost_out
+            invariants.check_candidate(mgr, svs, lost_in, lost_out)
 
         bad = removal(svs)
         while not mgr.is_empty(bad):
@@ -198,7 +242,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
                 for part in _nontrivial(mgr, parts, ids):
                     leaving = escapes(part, svs)
                     if mgr.is_empty(leaving):
-                        pending.append(Candidate(part, empty, empty))
+                        pending.append((part, empty, empty))
                     else:
                         push_rest(part, attract(part, leaving))
         else:
@@ -217,7 +261,7 @@ def refine(mgr, model, initial, thresh, removal, attract, escapes, kernels,
             else:
                 split_off(svs, comp, lost_in, lost_out)
         if debug:
-            invariants.check_disjoint(mgr, [c.vertices for c in pending] + good)
+            invariants.check_disjoint(mgr, [c[0] for c in pending] + good)
     return good, events
 
 

@@ -176,8 +176,10 @@ def _sccs_fwbw(mgr, svs):
             ids.append(v)
         else:
             out.append(comp)
-        work += (b.difference(fw, comp), b.difference(bw, comp),
-                 b.difference(vset, b.union(fw, bw)))
+        # The searched parts are popped first, so their masks do not wait
+        # on the stack while the rest is split.
+        work += (b.difference(vset, b.union(fw, bw)), b.difference(fw, comp),
+                 b.difference(bw, comp))
     # One pivot per part.  A search of L layers, the pivot first, is
     # charged as L images, each cut to the set and freed of what was seen
     # (two set operations), and L - 1 unions of a new layer into what was

@@ -16,9 +16,8 @@ from __future__ import annotations
 import time
 
 from .errors import UsageError
-from .model import bad_vertices, has_edge, pair_sets
 from .reach import reach_backward
-from .refine import refine, refine_basic
+from .refine import bad_vertices, has_edge, pair_sets, refine, refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import streett_threshold

@@ -1,6 +1,6 @@
 """Almost-sure winning sets of MDPs with strong-fairness objectives.
 
-Candidates for good end-components start as the MECs of the MDP, which
+The candidates for good end-components start as the MECs of the MDP, which
 ``mec_decomposition`` refines from the SCCs; that SCC split is the
 preprocessing phase, as for graphs.  The basic loop
 (``refine.refine_basic``) strips the random attractor of the bad
@@ -20,9 +20,8 @@ import time
 
 from .errors import UsageError
 from .mec import mec_decomposition
-from .model import bad_vertices, pair_sets
 from .reach import almost_sure_reach, random_attractor, random_escapes
-from .refine import refine, refine_basic
+from .refine import bad_vertices, pair_sets, refine, refine_basic
 from .report import RunReport
 from .scc import all_sccs, lock_step_search
 from .thresholds import streett_threshold

@@ -11,10 +11,10 @@ not part of that cost, such as debug assertions, runs inside
 exit to what they were on entry.
 
 The SCC kernels of :mod:`fairchk.scc`, ``reach.reach_backward`` and
-``model.bad_vertices`` run their inner loops on the raw backend handles
+``refine.bad_vertices`` run their inner loops on the raw backend handles
 instead, to skip the per-operation handle allocation and ownership check.
-They check the ownership of every incoming handle at entry, tally their
-operations locally, and charge, through :meth:`SymbolicManager._charge`,
+They check the ownership of every incoming handle (or pair table) at
+entry, tally their operations locally, and charge, through ``_charge``,
 exactly what the same sequence of manager calls would have counted.  The
 backend protocol has, besides the set operations, the skeleton kernel's
 loops: ``spine``, and ``layers(image, start, within)``, one breadth-first
@@ -61,6 +61,7 @@ from contextlib import contextmanager
 
 from .errors import UsageError
 from .model import neighbour_tuples
+from .obdd import ObddBackend
 
 __all__ = ["StepCounters", "VertexSet", "SymbolicManager"]
 
@@ -393,8 +394,6 @@ class SymbolicManager:
         if backend == "bitset":
             self._b = _BitsetBackend(n, edges, random_vertices)
         elif backend == "obdd":
-            from .obdd import ObddBackend
-
             self._b = ObddBackend(n, edges, random_vertices)
         else:
             raise UsageError(f"unknown backend {backend!r}")
@@ -403,9 +402,6 @@ class SymbolicManager:
         self.counters = StepCounters()
         self.universe = VertexSet(self, self._b.universe())
         self.v_random = VertexSet(self, self._b.from_ids(sorted(random_vertices)))
-        self.v_player1 = VertexSet(
-            self, self._b.difference(self.universe.h, self.v_random.h)
-        )
 
     @classmethod
     def from_model(cls, model, backend="bitset"):

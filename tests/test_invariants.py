@@ -10,7 +10,7 @@ from fairchk import (
     pair_sets,
 )
 from fairchk import invariants
-from fairchk.model import Candidate, bad_vertices
+from fairchk.refine import bad_vertices
 from fairchk.reach import random_attractor, random_escapes
 from fairchk.refine import _check_separation_attractor
 
@@ -24,11 +24,11 @@ def _graph_identity(within, targets):
 def test_candidate_witnesses_inside(f2, backend):
     mgr = mgr_for(f2, backend)
     svs, outside, empty = mgr.from_ids([0, 1]), mgr.from_ids([2]), mgr.empty()
-    invariants.check_candidate(mgr, Candidate(svs, mgr.from_ids([0]), empty))
+    invariants.check_candidate(mgr, svs, mgr.from_ids([0]), empty)
     with pytest.raises(InvariantViolation, match="lost_in"):
-        invariants.check_candidate(mgr, Candidate(svs, outside, empty))
+        invariants.check_candidate(mgr, svs, outside, empty)
     with pytest.raises(InvariantViolation, match="lost_out"):
-        invariants.check_candidate(mgr, Candidate(svs, empty, outside))
+        invariants.check_candidate(mgr, svs, empty, outside)
 
 
 def test_disjoint(f2, backend):

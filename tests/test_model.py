@@ -303,10 +303,11 @@ class TestBadVertices:
         """The raw-handle fold returns and charges what the same manager
         calls do."""
 
-        def fold(mgr, svs, psets):
+        def fold(mgr, svs, pairs):
             acc = None
-            for left, right in psets:
-                if mgr.is_empty(mgr.intersect(right, svs)):
+            for left, right in pairs.pairs:
+                if mgr.is_empty(mgr.intersect(mgr.from_ids(right), svs)):
+                    left = mgr.from_ids(left)
                     acc = left if acc is None else mgr.union(acc, left)
             return mgr.empty() if acc is None else mgr.intersect(acc, svs)
 
@@ -318,17 +319,16 @@ class TestBadVertices:
             pairs = random_pairs(rng, n, rng.randint(0, 5), density=0.3)
             ids = [v for v in range(n) if rng.random() < 0.6]
             runs = []
-            for bad in (bad_vertices, fold):
+            for bad, table in ((bad_vertices, pair_sets), (fold, lambda mgr, pairs: pairs)):
                 mgr = mgr_for(model, backend)
-                psets = pair_sets(mgr, pairs)
-                got = bad(mgr, mgr.from_ids(ids), psets)
+                got = bad(mgr, mgr.from_ids(ids), table(mgr, pairs))
                 runs.append((mgr.to_ids(got), mgr.snapshot_counters()))
             assert runs[0] == runs[1], (n, pairs, ids)
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_foreign_pair_handle_rejected(self, f1, side):
+    def test_foreign_pair_table_rejected(self, f1):
         mgr, other = mgr_for(f1), mgr_for(f1)
-        pair = [mgr.singleton(0), mgr.empty()]  # no grant, so both sides are read
-        pair[side] = other.from_ids(mgr.to_ids(pair[side]))
+        psets = pair_sets(other, StreettPairs(1, ((frozenset({0}), frozenset()),)))
+        before = mgr.snapshot_counters()
         with pytest.raises(UsageError, match="different manager"):
-            bad_vertices(mgr, mgr.universe, [tuple(pair)])
+            bad_vertices(mgr, mgr.universe, psets)
+        assert mgr.snapshot_counters() == before

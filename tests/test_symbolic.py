@@ -344,7 +344,8 @@ def test_cpre_agrees_with_pre_formula(rng, n):
     direct = mgr.cpre_random(z)
     with mgr.counters_paused():
         formula = mgr.difference(
-            mgr.pre(z), mgr.intersect(mgr.v_player1, mgr.pre(mgr.complement(z)))
+            mgr.pre(z),
+            mgr.intersect(mgr.complement(mgr.v_random), mgr.pre(mgr.complement(z))),
         )
     assert direct == formula
 

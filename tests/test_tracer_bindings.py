@@ -27,7 +27,7 @@ from fairchk import (  # noqa: E402
     streett_mdp_improved,
 )
 from fairchk.mec import mec_decomposition  # noqa: E402
-from fairchk.model import bad_vertices  # noqa: E402
+from fairchk.refine import bad_vertices  # noqa: E402
 from fairchk.reach import almost_sure_reach, random_attractor, reach_backward  # noqa: E402
 from fairchk.scc import all_sccs, lock_step_search  # noqa: E402
 from tracing import Tracer  # noqa: E402
