@@ -325,9 +325,14 @@ class TestBadVertices:
                 runs.append((mgr.to_ids(got), mgr.snapshot_counters()))
             assert runs[0] == runs[1], (n, pairs, ids)
 
-    def test_foreign_pair_table_rejected(self, f1):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_foreign_pair_handle_rejected(self, f1, side):
+        """A table of another manager is refused before anything is
+        counted, whether the fold would read the grant alone (side 1: the
+        grant meets the set) or both sides of the pair (side 0)."""
         mgr, other = mgr_for(f1), mgr_for(f1)
-        psets = pair_sets(other, StreettPairs(1, ((frozenset({0}), frozenset()),)))
+        grant = frozenset({0}) if side else frozenset()
+        psets = pair_sets(other, StreettPairs(1, ((frozenset({0}), grant),)))
         before = mgr.snapshot_counters()
         with pytest.raises(UsageError, match="different manager"):
             bad_vertices(mgr, mgr.universe, psets)
