@@ -21,17 +21,27 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-The SCC kernels' loops ``layers`` (one breadth-first search, by ``pre``
-or ``post``) and ``spine`` run the ``dd`` operations of the backend calls
-they replace, in the same order (a union with the empty set writes
-nothing), so the node table and the apply cache come out the same.
+One-vertex sets take a path of their own.  Their BDDs are the minterms,
+built at construction and indexed by node, so ``is_single`` is one dict
+lookup.  ``pre`` and ``post`` of a minterm are taken by the relational
+product once and then read from a per-vertex table, which every caller
+shares.  Whether a vertex is in a set is one walk down the path of its
+bits (``has_loop`` is such a walk in the loop set).  The SCC kernels'
+loops ``layers`` (one breadth-first search, by ``pre`` or ``post``) and
+``spine`` use both: a one-vertex image is the next layer when the walks
+find it inside the search's bound and not yet seen, and a vertex with a
+single predecessor hops back to it.  Otherwise they run the ``dd``
+operations of the backend calls they replace, in the same order.  Every
+result of the one-vertex path is a minterm or the empty set, so the node
+table comes out the same as if every step ran through ``dd``; only the
+apply cache holds fewer entries.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
 SCC kernel builds each spine once from its vertex ids, which makes only
 the spine's own nodes and no cache entry, rather than keeping every
 partial union of a chain of ``or_``.  The basic MEC solve of the
-1,152-vertex benchmark ladder ends with 28,187 nodes and 411,513 cache
+1,152-vertex benchmark ladder ends with 28,187 nodes and 250,991 cache
 entries.
 """
 
@@ -224,6 +234,13 @@ class ObddBackend:
         self.dd = _Bdd(2 * self.bits)
         self._domain = self._set_from_sorted(range(n))
         self._minterms = [self._minterm(u) for u in range(n)]
+        self._vertex_of = dict(zip(self._minterms, range(n)))
+        # Per level, the shift that brings its bit of a vertex id down to
+        # bit 0, for the membership walk.
+        self._bit_shift = [self.bits - 1 - (lv >> 1) for lv in range(2 * self.bits)]
+        # Images of one-vertex sets, by vertex id, filled on first use.
+        self._pre_of = [None] * n
+        self._post_of = [None] * n
         # Edge (u, v) as one word of 2b bits, those of u and v interleaved
         # MSB first: the bit order of the levels of the relation.
         spread = [0] * n
@@ -304,10 +321,28 @@ class ObddBackend:
             self._collect(node, bit + 1, prefix | weight, out)
 
     def pre(self, z):
+        v = self._vertex_of.get(z)
+        if v is not None:
+            r = self._pre_of[v]
+            if r is None:
+                r = self._pre_of[v] = self._pre(z)
+            return r
+        return self._pre(z)
+
+    def post(self, z):
+        v = self._vertex_of.get(z)
+        if v is not None:
+            r = self._post_of[v]
+            if r is None:
+                r = self._post_of[v] = self._post(z)
+            return r
+        return self._post(z)
+
+    def _pre(self, z):
         dd = self.dd
         return dd.and_exists(self._edge_rel, dd.shift(z, 1), 1)
 
-    def post(self, z):
+    def _post(self, z):
         dd = self.dd
         return dd.shift(dd.and_exists(self._edge_rel, z, 0), -1)
 
@@ -363,29 +398,64 @@ class ObddBackend:
         return h == _FALSE
 
     def is_single(self, h):
-        return h != _FALSE and h == self._minterms[self.min_vertex(h)]
+        return h in self._vertex_of
 
     def has_loop(self, v):
-        return self.dd.and_(self._minterms[v], self._loops) != _FALSE
+        """Whether `v` is in the loop set: one walk down the path of its
+        bits, a skipped level taking either bit."""
+        dd = self.dd
+        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
+        h = self._loops
+        while h > _TRUE:
+            h = high[h] if v >> shift[level[h]] & 1 else low[h]
+        return h == _TRUE
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 
     def layers(self, image, start, within):
-        """Layers by `image` from `start` inside `within`, and their union."""
+        """Layers by `image` from `start` inside `within`, and their union.
+
+        A one-vertex image is the next layer if its vertex is in `within`
+        and not yet seen, which two membership walks decide.
+        """
         dd = self.dd
+        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
+        vertex_of = self._vertex_of
         out, seen, layer = [], _FALSE, start
         while layer != _FALSE:
             out.append(layer)
             seen = dd.or_(seen, layer)
-            layer = dd.diff(dd.and_(image(layer), within), seen)
+            img = image(layer)
+            v = vertex_of.get(img)
+            if v is None:
+                layer = dd.diff(dd.and_(img, within), seen)
+                continue
+            # The walk of `has_loop`, in `within` and then in `seen`, kept
+            # inline: a method call per walk made the basic ladder solve
+            # about 6% slower.
+            layer = _FALSE
+            h = within
+            while h > _TRUE:
+                h = high[h] if v >> shift[level[h]] & 1 else low[h]
+            if h == _TRUE:
+                h = seen
+                while h > _TRUE:
+                    h = high[h] if v >> shift[level[h]] & 1 else low[h]
+                if h == _FALSE:
+                    layer = img
         return out, seen
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop
-        to the least predecessor in the layer before."""
+        to the least predecessor in the layer before.  A vertex with one
+        predecessor hops to it: it is the one in the layer before."""
+        dd, pre = self.dd, self.pre
+        minterms, vertex_of = self._minterms, self._vertex_of
         v = self.min_vertex(layers[-1])
         ids = [v]
         for prev in reversed(layers[:-1]):
-            v = self.min_vertex(self.dd.and_(self.pre(self._minterms[v]), prev))
+            preds = pre(minterms[v])
+            u = vertex_of.get(preds)
+            v = u if u is not None else self.min_vertex(dd.and_(preds, prev))
             ids.append(v)
         return ids

@@ -289,6 +289,40 @@ def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
         t_alive = t_pruned
 
 
+def reference_obdd_image(backend, side, z):
+    """`pre` (side 0) or `post` (side 1) of the raw OBDD `z` of an
+    `ObddBackend`, by the relational product on every call."""
+    dd = backend.dd
+    if side == 0:
+        return dd.and_exists(backend._edge_rel, dd.shift(z, 1), 1)
+    return dd.shift(dd.and_exists(backend._edge_rel, z, 0), -1)
+
+
+def reference_obdd_layers(backend, side, start, within):
+    """`ObddBackend.layers` by side 0 (`pre`) or 1 (`post`), each layer cut
+    to `within` and freed of what was seen by BDD operations."""
+    dd = backend.dd
+    out, seen, layer = [], 0, start
+    while layer != 0:
+        out.append(layer)
+        seen = dd.or_(seen, layer)
+        image = reference_obdd_image(backend, side, layer)
+        layer = dd.diff(dd.and_(image, within), seen)
+    return out, seen
+
+
+def reference_obdd_spine(backend, layers):
+    """`ObddBackend.spine`, each hop to the least predecessor found by a
+    conjunction with the layer before."""
+    v = backend.min_vertex(layers[-1])
+    ids = [v]
+    for prev in reversed(layers[:-1]):
+        preds = reference_obdd_image(backend, 0, backend.singleton(v))
+        v = backend.min_vertex(backend.dd.and_(preds, prev))
+        ids.append(v)
+    return ids
+
+
 # -- definition-level brute force (tiny n only) ---------------------------
 
 

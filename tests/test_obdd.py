@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from helpers import (
     BITSET_REPRESENTATIONS,
     bitset_representation,
     random_graph,
+    reference_obdd_image,
+    reference_obdd_layers,
+    reference_obdd_spine,
     sized_ids,
 )
 
@@ -139,3 +143,92 @@ def test_ladder_mec_node_table_stays_linear():
     mgr = SymbolicManager.from_model(model, backend="obdd")
     mec_basic(mgr, model)
     assert len(mgr._b.dd.level) <= 30 * model.n
+
+
+def test_ladder_mec_apply_cache_stays_linear():
+    """The same solve keeps its apply cache within 180 entries per vertex.
+    With every one-vertex image taken by the relational product, and cut
+    to its layer by a conjunction and a difference, it held about 235 per
+    vertex here."""
+    model, _ = ladder_mec(0, d=64)
+    mgr = SymbolicManager.from_model(model, backend="obdd")
+    mec_basic(mgr, model)
+    assert len(mgr._b.dd._cache) <= 180 * model.n
+
+
+def _sparse_graph(rng, n):
+    """Edges of a random graph on `n` vertices with out-degrees 0, 1 and
+    several, and self-loops: most one-vertex sets have one-vertex images."""
+    edges = set()
+    for u in range(n):
+        degree = rng.choice((0, 1, 1, 1, rng.randint(2, 4)))
+        edges.update((u, rng.randrange(n)) for _ in range(degree))
+        if rng.random() < 0.2:
+            edges.add((u, u))
+    return sorted(edges)
+
+
+def test_one_vertex_images_match_relational_product():
+    """`pre` and `post` of every one-vertex set, asked in random order and
+    twice each, are the relational product's handles on a fresh backend
+    and the neighbours of the vertex; `is_single` and `has_loop` read
+    the same sets."""
+    rng = random.Random(25)
+    for _ in range(20):
+        n = rng.randint(1, 64)
+        edges = _sparse_graph(rng, n)
+        table, fresh = _backend(n, edges), _backend(n, edges)
+        succ = [sorted({v for u, v in edges if u == w}) for w in range(n)]
+        pred = [sorted({u for u, v in edges if v == w}) for w in range(n)]
+        calls = [(side, v) for side in (0, 1) for v in range(n)] * 2
+        rng.shuffle(calls)
+        for side, v in calls:
+            got = (table.pre, table.post)[side](table.singleton(v))
+            assert got == reference_obdd_image(fresh, side, fresh.singleton(v))
+            assert table.to_ids(got) == (pred, succ)[side][v]
+        assert len(table.dd.level) == len(fresh.dd.level)
+        for v in range(n):
+            assert table.has_loop(v) == ((v, v) in edges)
+        for ids in sized_ids(rng, n):
+            assert table.is_single(table.from_ids(ids)) == (len(ids) == 1)
+
+
+def test_one_vertex_layers_and_spine_match_reference():
+    """`layers` and `spine`, one-vertex images read from the image table
+    and placed by membership walks, give the handles of plain BDD
+    operations on every layer, and leave a node table of the same size."""
+    rng = random.Random(2025)
+    met = Counter()
+    for _ in range(40):
+        n = rng.randint(1, 64)
+        edges = _sparse_graph(rng, n)
+        fast, ref = _backend(n, edges), _backend(n, edges)
+        for _ in range(10):
+            density = rng.choice((0.5, 0.8, 1.0))
+            within_ids = [v for v in range(n) if rng.random() < density]
+            if rng.random() < 0.7:
+                start_ids = [rng.randrange(n)]
+            else:
+                start_ids = rng.sample(range(n), rng.randint(0, n))
+            side = rng.randrange(2)
+            start, within = fast.from_ids(start_ids), fast.from_ids(within_ids)
+            assert start == ref.from_ids(start_ids)
+            assert within == ref.from_ids(within_ids)
+            got = fast.layers((fast.pre, fast.post)[side], start, within)
+            expected = reference_obdd_layers(ref, side, start, within)
+            assert got == expected
+            assert len(fast.dd.level) == len(ref.dd.level)
+            if side == 1 and start_ids:
+                assert fast.spine(got[0]) == reference_obdd_spine(ref, expected[0])
+                assert len(fast.dd.level) == len(ref.dd.level)
+            # Which kinds of one-vertex image the search met.
+            seen = set()
+            for layer in expected[0]:
+                ids = ref.to_ids(layer)
+                seen.update(ids)
+                image = ref.to_ids(reference_obdd_image(ref, side, layer))
+                if len(ids) == len(image) == 1:
+                    w = image[0]
+                    met["outside" if w not in within_ids
+                        else "seen" if w in seen else "new"] += 1
+    assert min(met[kind] for kind in ("outside", "seen", "new")) >= 20, met
