@@ -26,28 +26,37 @@ built at construction and indexed by node, so ``is_single`` is one dict
 lookup.  ``pre`` and ``post`` of a minterm are taken by the relational
 product once and then read from a per-vertex table, which every caller
 shares.  Whether a vertex is in a set is one walk down the path of its
-bits (``has_loop`` is such a walk in the loop set).  The SCC kernels'
-loops ``layers`` (one breadth-first search, by ``pre`` or ``post``) and
-``spine`` use both: a one-vertex image is the next layer when the walks
-find it inside the search's bound and not yet seen, and a vertex with a
-single predecessor hops back to it.  Otherwise they run the ``dd``
-operations of the backend calls they replace, in the same order.  Every
-result of the one-vertex path is a minterm or the empty set, so the node
-table comes out the same as if every step ran through ``dd``; only the
-apply cache holds fewer entries.
+bits (``has_loop`` is such a walk in the loop set).
+
+The SCC kernels' loops, ``layers(side, start, within)`` (one
+breadth-first search, by ``pre`` for side 0 or ``post`` for side 1) and
+``spine``, read per-vertex neighbour-id tuples, built from the edges on
+the first call.  A search from one vertex keeps the ids it has met in a
+Python set while every layer holds at most ``_SMALL_LAYER`` vertices: a
+layer is those neighbours of the layer before that a membership walk finds
+in ``within`` and that were not met yet.  Each layer's BDD is built from its
+ids, and their union once, at the end, so no partial union and no cut of
+an image is made.  A larger layer, or a start of several vertices, runs
+the BDD loop: each image cut to ``within`` by a conjunction and freed of
+the union by a difference, the union grown by ``or_``, and a one-vertex
+image placed by two membership walks instead.  ``spine`` hops to the
+layer before when that is one vertex, and otherwise to the least
+in-neighbour that a walk finds in it.  Every layer is the set that
+``dd`` operations alone would give, but fewer nodes and memo entries are
+built, in another order.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
 SCC kernel builds each spine once from its vertex ids, which makes only
 the spine's own nodes and no cache entry, rather than keeping every
 partial union of a chain of ``or_``.  The basic MEC solve of the
-1,152-vertex benchmark ladder ends with 28,187 nodes and 250,991 cache
+1,152-vertex benchmark ladder ends with 13,569 nodes and 53,969 cache
 entries.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from .model import neighbour_tuples
 
 __all__ = ["ObddBackend"]
 
@@ -64,6 +73,10 @@ _OP_DIFF = 2
 _OP_SHIFT_UP = 3
 _OP_SHIFT_DOWN = 4
 _OP_AND_EXISTS = 5  # + parity
+
+# A search from one vertex keeps its layers as vertex ids while each holds
+# at most this many vertices, and hands a larger one to the BDD loop.
+_SMALL_LAYER = 8
 
 
 class _Bdd:
@@ -241,6 +254,9 @@ class ObddBackend:
         # Images of one-vertex sets, by vertex id, filled on first use.
         self._pre_of = [None] * n
         self._post_of = [None] * n
+        # Neighbour ids for the searches, from `edges` on first use.
+        self._edges = edges
+        self._adj = None
         # Edge (u, v) as one word of 2b bits, those of u and v interleaved
         # MSB first: the bit order of the levels of the relation.
         spread = [0] * n
@@ -248,7 +264,7 @@ class ObddBackend:
             for i in range(self.bits):
                 spread[u] |= (u >> i & 1) << 2 * i
         words = sorted(spread[u] << 1 | spread[v] for u, v in edges)
-        self._edge_rel = self._from_words(words, 0, len(words), 2 * self.bits, 1)
+        self._edge_rel = self._from_words(words, 2 * self.bits, 1)
         self._loops = self._set_from_sorted(sorted(u for u, v in edges if u == v))
         self.vr = self._set_from_sorted(sorted(set(random_vertices)))
         self.v1 = self.dd.diff(self._domain, self.vr)
@@ -257,26 +273,37 @@ class ObddBackend:
 
     def _set_from_sorted(self, ids):
         """BDD (over current-state levels) of a sorted id sequence."""
-        return self._from_words(ids, 0, len(ids), self.bits, 2)
+        return self._from_words(ids, self.bits, 2)
 
-    def _from_words(self, words, lo, hi, width, stride, i=0, prefix=0):
-        """BDD of the sorted `width`-bit words ``words[lo:hi]``.
+    def _from_words(self, words, width, stride):
+        """BDD of the sorted, distinct `width`-bit `words`.
 
         Word bit i, counted from the most significant, is BDD level
-        ``stride * i``.  The words in ``words[lo:hi]`` all share their
-        first i bits with `prefix`.
+        ``stride * i``.  Built from the bottom level up: each pass makes
+        one node per word prefix one bit shorter, joining two words that
+        differ only in their last bit.  It makes no recursive call and no
+        search; on sets of 5 to 1,000 of 1,152 vertex ids it took about a
+        third less time than splitting the words top-down by bisection.
         """
-        if lo == hi:
-            return _FALSE
-        if i == width:
-            return _TRUE
-        weight = 1 << (width - 1 - i)
-        split = bisect_left(words, prefix | weight, lo, hi)
-        return self.dd.mk(
-            stride * i,
-            self._from_words(words, lo, split, width, stride, i + 1, prefix),
-            self._from_words(words, split, hi, width, stride, i + 1, prefix | weight),
-        )
+        mk = self.dd.mk
+        prefixes, nodes = list(words), [_TRUE] * len(words)
+        for lv in range(stride * (width - 1), -1, -stride):
+            up, joined = [], []
+            i, count = 0, len(nodes)
+            while i < count:
+                p = prefixes[i]
+                if p & 1:
+                    h = mk(lv, _FALSE, nodes[i])
+                elif i + 1 < count and prefixes[i + 1] == p | 1:
+                    h = mk(lv, nodes[i], nodes[i + 1])
+                    i += 1
+                else:
+                    h = mk(lv, nodes[i], _FALSE)
+                i += 1
+                up.append(p >> 1)
+                joined.append(h)
+            prefixes, nodes = up, joined
+        return nodes[0] if nodes else _FALSE
 
     def _minterm(self, u):
         node = _TRUE
@@ -412,8 +439,68 @@ class ObddBackend:
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 
-    def layers(self, image, start, within):
-        """Layers by `image` from `start` inside `within`, and their union.
+    def _neighbours(self):
+        """In- and out-neighbour id tuples per vertex, indexed by side (0
+        for `pre`, 1 for `post`), built on first use."""
+        if self._adj is None:
+            edges = self._edges
+            self._adj = (neighbour_tuples(self.n, ((v, u) for u, v in edges)),
+                         neighbour_tuples(self.n, edges))
+        return self._adj
+
+    def layers(self, side, start, within):
+        """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
+        `within`, and their union.
+
+        From one vertex the search runs on ids while its layers stay at
+        most ``_SMALL_LAYER`` vertices: a layer is those neighbours of the
+        last one that a membership walk finds in `within` and that were
+        not met before.  Each such layer is built from its ids, and their
+        union once, at the end.  A larger layer hands the search to the
+        BDD loop, as does a start of several vertices.
+        """
+        v = self._vertex_of.get(start)
+        if v is None:
+            if start == _FALSE:
+                return [], _FALSE
+            return self._bdd_layers(side, [start], start, within)
+        dd = self.dd
+        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
+        adj = self._neighbours()[side]
+        out, met, reached, ids = [start], {v}, [v], [v]
+        while True:
+            new = []
+            for u in ids:
+                for w in adj[u]:
+                    if w in met:
+                        continue
+                    met.add(w)
+                    # The walk of `has_loop`, in `within`, kept inline.
+                    h = within
+                    while h > _TRUE:
+                        h = high[h] if w >> shift[level[h]] & 1 else low[h]
+                    if h == _TRUE:
+                        new.append(w)
+            if not new:
+                if len(out) == 1:
+                    return out, start
+                reached.sort()
+                return out, self._set_from_sorted(reached)
+            reached += new
+            if len(new) == 1:
+                out.append(self._minterms[new[0]])
+            else:
+                new.sort()
+                out.append(self._set_from_sorted(new))
+                if len(new) > _SMALL_LAYER:
+                    reached.sort()
+                    seen = self._set_from_sorted(reached)
+                    return self._bdd_layers(side, out, seen, within)
+            ids = new
+
+    def _bdd_layers(self, side, out, seen, within):
+        """The search by BDD operations on from the last layer of `out`,
+        with `seen` the union of `out`.
 
         A one-vertex image is the next layer if its vertex is in `within`
         and not yet seen, which two membership walks decide.
@@ -421,41 +508,51 @@ class ObddBackend:
         dd = self.dd
         level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
         vertex_of = self._vertex_of
-        out, seen, layer = [], _FALSE, start
-        while layer != _FALSE:
-            out.append(layer)
-            seen = dd.or_(seen, layer)
+        image = self.post if side else self.pre
+        layer = out[-1]
+        while True:
             img = image(layer)
             v = vertex_of.get(img)
             if v is None:
                 layer = dd.diff(dd.and_(img, within), seen)
-                continue
-            # The walk of `has_loop`, in `within` and then in `seen`, kept
-            # inline: a method call per walk made the basic ladder solve
-            # about 6% slower.
-            layer = _FALSE
-            h = within
-            while h > _TRUE:
-                h = high[h] if v >> shift[level[h]] & 1 else low[h]
-            if h == _TRUE:
-                h = seen
+            else:
+                # The walk of `has_loop`, in `within` and then in `seen`,
+                # kept inline: a method call per walk made the basic ladder
+                # solve about 6% slower.
+                layer = _FALSE
+                h = within
                 while h > _TRUE:
                     h = high[h] if v >> shift[level[h]] & 1 else low[h]
-                if h == _FALSE:
-                    layer = img
-        return out, seen
+                if h == _TRUE:
+                    h = seen
+                    while h > _TRUE:
+                        h = high[h] if v >> shift[level[h]] & 1 else low[h]
+                    if h == _FALSE:
+                        layer = img
+            if layer == _FALSE:
+                return out, seen
+            out.append(layer)
+            seen = dd.or_(seen, layer)
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop
-        to the least predecessor in the layer before.  A vertex with one
-        predecessor hops to it: it is the one in the layer before."""
-        dd, pre = self.dd, self.pre
-        minterms, vertex_of = self._minterms, self._vertex_of
+        to the least in-neighbour that a membership walk finds in the layer
+        before.  A layer of one vertex is the hop itself."""
+        dd = self.dd
+        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
+        vertex_of, preds = self._vertex_of, self._neighbours()[0]
         v = self.min_vertex(layers[-1])
         ids = [v]
         for prev in reversed(layers[:-1]):
-            preds = pre(minterms[v])
-            u = vertex_of.get(preds)
-            v = u if u is not None else self.min_vertex(dd.and_(preds, prev))
+            u = vertex_of.get(prev)
+            if u is None:
+                for w in preds[v]:
+                    if u is None or w < u:
+                        h = prev
+                        while h > _TRUE:
+                            h = high[h] if w >> shift[level[h]] & 1 else low[h]
+                        if h == _TRUE:
+                            u = w
+            v = u
             ids.append(v)
         return ids

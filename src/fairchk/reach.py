@@ -15,7 +15,7 @@ def reach_backward(mgr, svs, targets):
     ``|result \\ targets| + 1`` predecessor operations.  The backend runs
     the loop (``layers`` by ``pre``); it is charged as its manager calls count.
     """
-    layers, acc = mgr._b.layers(mgr._b.pre, mgr._h(targets), mgr._h(svs))
+    layers, acc = mgr._b.layers(0, mgr._h(targets), mgr._h(svs))
     # Empty targets make no layer, but the manager loop still takes one
     # `pre` (of the empty set) and two set operations to see that.
     steps = len(layers) or 1

@@ -76,7 +76,7 @@ def _sccs_skeleton(mgr, svs):
     """Raw-handle SCC parts of raw handle `svs` of two or more vertices,
     and the ids of the one-vertex parts, both in discovery order."""
     b = mgr._b
-    pre, post, layers_of, spine_of = b.pre, b.post, b.layers, b.spine
+    pre, layers_of, spine_of = b.pre, b.layers, b.spine
     intersect, difference = b.intersect, b.difference
     is_empty, min_vertex = b.is_empty, b.min_vertex
     singleton, from_ids = b.singleton, b.from_ids
@@ -93,7 +93,7 @@ def _sccs_skeleton(mgr, svs):
             n_pick += 1
 
         # Forward set of the pivot, one layer per step.
-        layers, fw = layers_of(post, node, vset)
+        layers, fw = layers_of(1, node, vset)
         depth = len(layers)
         n_post += depth
         n_set += 3 * depth
@@ -114,7 +114,7 @@ def _sccs_skeleton(mgr, svs):
             # The pivot's SCC: backward search inside the forward set, one
             # `pre` per layer of the never-empty pivot, the last finding
             # nothing new.
-            back, comp = layers_of(pre, node, fw)
+            back, comp = layers_of(0, node, fw)
             steps = len(back)
         if steps == 1:  # the pivot alone, kept as its id
             ids.append(min_vertex(node))
@@ -167,9 +167,9 @@ def _sccs_fwbw(mgr, svs):
             continue
         v = b.min_vertex(vset)
         pivot = b.singleton(v)
-        layers, fw = b.layers(b.post, pivot, vset)
+        layers, fw = b.layers(1, pivot, vset)
         n_post += len(layers)
-        layers, bw = b.layers(b.pre, pivot, vset)
+        layers, bw = b.layers(0, pivot, vset)
         n_pre += len(layers)
         comp = b.intersect(fw, bw)
         if comp == pivot:  # the pivot alone, kept as its id

@@ -17,10 +17,11 @@ They check the ownership of every incoming handle (or pair table) at
 entry, tally their operations locally, and charge, through ``_charge``,
 exactly what the same sequence of manager calls would have counted.  The
 backend protocol has, besides the set operations, the skeleton kernel's
-loops: ``spine``, and ``layers(image, start, within)``, one breadth-first
-search by ``pre`` or ``post`` that also serves ``reach_backward``.  The
-kernel builds each spine of ``d`` vertices once from its ids and charges
-it as the ``d - 1`` binary unions that would join them.  It also has
+loops: ``spine``, and ``layers(side, start, within)``, one breadth-first
+search by ``pre`` (side 0) or ``post`` (side 1) that also serves
+``reach_backward``.  The kernel builds each spine of ``d`` vertices once
+from its ids and charges it as the ``d - 1`` binary unions that would
+join them.  It also has
 ``is_single`` and ``has_loop`` (whether one vertex, given by its id, has a
 self-loop), which serve :meth:`SymbolicManager.is_trivial` in constant time
 on one vertex, and :meth:`SymbolicManager.looped_singletons` on the ids of
@@ -344,8 +345,10 @@ class _BitsetBackend:
             return self.out_masks[v] >> v & 1 == 1
         return v in self.out_adj[v]
 
-    def layers(self, image, start, within):
-        """Layers by `image` from `start` inside `within`, and their union."""
+    def layers(self, side, start, within):
+        """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
+        `within`, and their union."""
+        image = self.post if side else self.pre
         layer = image(start) & within
         layer ^= layer & start
         if not layer:  # a search that stops here makes no frontier

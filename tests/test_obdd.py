@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from fairchk import SymbolicManager, mec_basic
+from fairchk import SymbolicManager, mec_basic, streett_mdp_basic
 from fairchk.model import Model
-from fairchk.obdd import ObddBackend
+from fairchk.obdd import _SMALL_LAYER, ObddBackend
 from fairchk.symbolic import _BitsetBackend
 
 from helpers import (
@@ -23,7 +23,7 @@ from helpers import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import ladder_mec  # noqa: E402
+from workloads import chain_mdp, ladder_mec  # noqa: E402
 
 
 def _backend(n, edges, randoms=frozenset()):
@@ -120,8 +120,8 @@ def test_ops_match_bitset_backend(n):
             # a ∪ {v} and its spine, then both searches from b, possibly
             # empty, inside a.  A search's layer count is its step count.
             pivot = bk.singleton(v)
-            layers, fw = bk.layers(bk.post, pivot, bk.union(a, pivot))
-            searches = [bk.layers(image, b, a) for image in (bk.pre, bk.post)]
+            layers, fw = bk.layers(1, pivot, bk.union(a, pivot))
+            searches = [bk.layers(side, b, a) for side in (0, 1)]
             results.append((
                 [bk.to_ids(h) for h in sets],
                 bk.card(a),
@@ -137,23 +137,42 @@ def test_ops_match_bitset_backend(n):
 
 def test_ladder_mec_node_table_stays_linear():
     """The basic MEC solve of the benchmark's ladder keeps its node table
-    within 30 nodes per vertex.  Spines grown one binary union at a time
-    left about 91 per vertex here, every partial spine a dead BDD."""
+    within 15 nodes per vertex; it ends with about 11.7.  Spines grown one
+    binary union at a time left about 91 per vertex here, every partial
+    spine a dead BDD, and searches that grew every partial union of their
+    layers by `or_` left 24.2."""
     model, _ = ladder_mec(0, d=64)
     mgr = SymbolicManager.from_model(model, backend="obdd")
     mec_basic(mgr, model)
-    assert len(mgr._b.dd.level) <= 30 * model.n
+    assert len(mgr._b.dd.level) <= 15 * model.n
 
 
 def test_ladder_mec_apply_cache_stays_linear():
-    """The same solve keeps its apply cache within 180 entries per vertex.
-    With every one-vertex image taken by the relational product, and cut
-    to its layer by a conjunction and a difference, it held about 235 per
-    vertex here."""
+    """The same solve keeps its apply cache within 60 entries per vertex;
+    it ends with about 45.4.  With every one-vertex image taken by the
+    relational product, and cut to its layer by a conjunction and a
+    difference, it held about 235 per vertex here, and with the searches'
+    layers and spine hops taken by BDD operations, 160."""
     model, _ = ladder_mec(0, d=64)
     mgr = SymbolicManager.from_model(model, backend="obdd")
     mec_basic(mgr, model)
-    assert len(mgr._b.dd._cache) <= 180 * model.n
+    assert len(mgr._b.dd._cache) <= 60 * model.n
+
+
+def test_ring_mdp_fairness_node_table_stays_linear():
+    """Basic MDP fairness on the benchmark's bidirected ring gives on OBDDs
+    the bitset solve's winning set, events and six counters, and keeps its
+    node table within 12 nodes per vertex; it ends with about 8.8.  With
+    every search's partial unions grown by `or_` it ended with 67.6."""
+    model, pairs = chain_mdp(0, n=256, k=32)
+    reports = []
+    for backend in ("bitset", "obdd"):
+        mgr = SymbolicManager.from_model(model, backend=backend)
+        reports.append(streett_mdp_basic(mgr, model, pairs))
+    bits, obdd = reports
+    assert (obdd.winning, obdd.events, obdd.counters, obdd.preprocessing) == (
+        bits.winning, bits.events, bits.counters, bits.preprocessing)
+    assert len(mgr._b.dd.level) <= 12 * model.n
 
 
 def _sparse_graph(rng, n):
@@ -194,41 +213,77 @@ def test_one_vertex_images_match_relational_product():
 
 
 def test_one_vertex_layers_and_spine_match_reference():
-    """`layers` and `spine`, one-vertex images read from the image table
-    and placed by membership walks, give the handles of plain BDD
-    operations on every layer, and leave a node table of the same size."""
+    """`layers` and `spine` give the sets of plain BDD operations on every
+    layer, their union and the spine, and leave a node table no larger.
+
+    The searches run on ids from one vertex to the end, hand over to the
+    BDD loop at the first layer past the cutoff, or start from several
+    vertices and run on BDDs only; each kind runs at least 20 times, and
+    the BDD loop runs exactly when and from where it should.  There a
+    one-vertex image is placed by membership walks, and at least 20 of
+    those each left `within`, landed in what was seen and were new."""
     rng = random.Random(2025)
-    met = Counter()
-    for _ in range(40):
+    paths, met = Counter(), Counter()
+    for _ in range(60):
         n = rng.randint(1, 64)
-        edges = _sparse_graph(rng, n)
+        if rng.random() < 0.5:
+            edges = _sparse_graph(rng, n)
+        else:
+            edges = random_graph(rng, n, rng.randint(2 * n, 4 * n) if n > 4 else n * n)
         fast, ref = _backend(n, edges), _backend(n, edges)
+        # The number of layers each BDD loop run was handed.
+        handed, bdd_loop = [], fast._bdd_layers
+        fast._bdd_layers = lambda side, out, *rest: (
+            handed.append(len(out)) or bdd_loop(side, out, *rest))
+        # Per side, the vertices with no neighbour on it: added to a start,
+        # they leave its image as it is.
+        lonely = [[w for w in range(n) if all(e[1 - side] != w for e in edges)]
+                  for side in (0, 1)]
         for _ in range(10):
-            density = rng.choice((0.5, 0.8, 1.0))
+            density = rng.choice((0.3, 0.5, 0.8, 1.0))
             within_ids = [v for v in range(n) if rng.random() < density]
-            if rng.random() < 0.7:
+            side = rng.randrange(2)
+            draw = rng.random()
+            if draw < 0.5:
                 start_ids = [rng.randrange(n)]
+            elif draw < 0.8:
+                start_ids = {rng.randrange(n), *rng.sample(lonely[side], min(
+                    len(lonely[side]), rng.randint(1, 2)))}
+                if len(start_ids) < 2:
+                    start_ids = rng.sample(range(n), min(n, rng.randint(2, 3)))
             else:
                 start_ids = rng.sample(range(n), rng.randint(0, n))
-            side = rng.randrange(2)
-            start, within = fast.from_ids(start_ids), fast.from_ids(within_ids)
-            assert start == ref.from_ids(start_ids)
-            assert within == ref.from_ids(within_ids)
-            got = fast.layers((fast.pre, fast.post)[side], start, within)
+            start, within = ref.from_ids(start_ids), ref.from_ids(within_ids)
+            handed.clear()
+            got = fast.layers(side, fast.from_ids(start_ids), fast.from_ids(within_ids))
             expected = reference_obdd_layers(ref, side, start, within)
-            assert got == expected
-            assert len(fast.dd.level) == len(ref.dd.level)
+            layer_ids = [ref.to_ids(h) for h in expected[0]]
+            assert [fast.to_ids(h) for h in got[0]] == layer_ids
+            assert fast.to_ids(got[1]) == ref.to_ids(expected[1])
             if side == 1 and start_ids:
                 assert fast.spine(got[0]) == reference_obdd_spine(ref, expected[0])
-                assert len(fast.dd.level) == len(ref.dd.level)
-            # Which kinds of one-vertex image the search met.
-            seen = set()
-            for layer in expected[0]:
-                ids = ref.to_ids(layer)
+            assert len(fast.dd.level) <= len(ref.dd.level)
+
+            # Which path the search takes, and from which layer on the BDD
+            # loop runs: the one-vertex images it meets there, by kind.
+            big = [i for i, ids in enumerate(layer_ids) if len(ids) > _SMALL_LAYER]
+            if len(start_ids) > 1:
+                path, first = "bdd", 0
+            elif big:
+                path, first = "fallback", big[0]
+            else:
+                path, first = "ids" if start_ids else "empty", None
+            paths[path] += 1
+            assert handed == ([] if first is None else [first + 1]), path
+            if first is None:
+                continue
+            seen = {v for ids in layer_ids[:first] for v in ids}
+            for layer, ids in zip(expected[0][first:], layer_ids[first:]):
                 seen.update(ids)
                 image = ref.to_ids(reference_obdd_image(ref, side, layer))
-                if len(ids) == len(image) == 1:
+                if len(image) == 1:
                     w = image[0]
                     met["outside" if w not in within_ids
                         else "seen" if w in seen else "new"] += 1
+    assert min(paths[kind] for kind in ("ids", "fallback", "bdd")) >= 20, paths
     assert min(met[kind] for kind in ("outside", "seen", "new")) >= 20, met

@@ -274,10 +274,9 @@ def _record_kernel_calls(monkeypatch, mgr):
     cls = type(mgr._b)
     layers, spine = cls.layers, cls.spine
 
-    def counted_layers(self, image, start, within):
-        out = layers(self, image, start, within)
-        name = "post" if image == self.post else "pre"
-        calls.append((name, len(out[0]), self.to_ids(start)))
+    def counted_layers(self, side, start, within):
+        out = layers(self, side, start, within)
+        calls.append((("pre", "post")[side], len(out[0]), self.to_ids(start)))
         return out
 
     def counted_spine(self, layers_):

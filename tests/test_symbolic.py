@@ -410,8 +410,8 @@ def test_tuples_match_masks_at_full_width(n):
             a, b = bk.from_ids(a_ids), bk.from_ids(b_ids)
             assert bk.to_ids(a) == a_ids
             # Spines follow the two searches by `post`, as in the kernel.
-            searches = [bk.layers(bk.post, a, b), bk.layers(bk.pre, b, a),
-                        bk.layers(bk.post, bk.empty(), a)]
+            searches = [bk.layers(1, a, b), bk.layers(0, b, a),
+                        bk.layers(1, bk.empty(), a)]
             results.append((
                 bk.pre(a), bk.post(a), bk.difference(a, b), bk.difference(b, a),
                 bk.complement(a), bk.cpre_random(a, bk.universe()),
