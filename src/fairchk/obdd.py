@@ -21,29 +21,23 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-One-vertex sets take a path of their own.  Their BDDs are the minterms,
-built at construction and indexed by node, so ``is_single`` is one dict
-lookup.  ``pre`` and ``post`` of a minterm are taken by the relational
-product once and then read from a per-vertex table, which every caller
-shares.  Whether a vertex is in a set is one walk down the path of its
-bits (``has_loop`` is such a walk in the loop set).
+One-vertex sets are the minterms, built at construction and indexed by
+node, so ``is_single`` is one dict lookup.  Whether a vertex is in a set
+is one walk down the path of its bits (``has_loop`` is such a walk in the
+loop set).
 
 The SCC kernels' loops, ``layers(side, start, within)`` (one
 breadth-first search, by ``pre`` for side 0 or ``post`` for side 1) and
 ``spine``, read per-vertex neighbour-id tuples, built from the edges on
-the first call.  A search from one vertex keeps the ids it has met in a
-Python set while every layer holds at most ``_SMALL_LAYER`` vertices: a
-layer is those neighbours of the layer before that a membership walk finds
-in ``within`` and that were not met yet.  Each layer's BDD is built from its
-ids, and their union once, at the end, so no partial union and no cut of
-an image is made.  A larger layer, or a start of several vertices, runs
-the BDD loop: each image cut to ``within`` by a conjunction and freed of
-the union by a difference, the union grown by ``or_``, and a one-vertex
-image placed by two membership walks instead.  ``spine`` hops to the
+the first call.  A search runs on ids: it keeps the ids it has met in a
+Python set, and a layer is those neighbours of the layer before that a
+membership walk finds in ``within`` and that were not met yet.  Each
+layer's BDD is built from its ids, and their union once, at the end, so
+no partial union and no cut of an image is made.  ``spine`` hops to the
 layer before when that is one vertex, and otherwise to the least
-in-neighbour that a walk finds in it.  Every layer is the set that
-``dd`` operations alone would give, but fewer nodes and memo entries are
-built, in another order.
+in-neighbour that a walk finds in it.  Every layer is the set that ``dd``
+operations alone would give, but fewer nodes and memo entries are built,
+in another order.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
@@ -73,10 +67,6 @@ _OP_DIFF = 2
 _OP_SHIFT_UP = 3
 _OP_SHIFT_DOWN = 4
 _OP_AND_EXISTS = 5  # + parity
-
-# A search from one vertex keeps its layers as vertex ids while each holds
-# at most this many vertices, and hands a larger one to the BDD loop.
-_SMALL_LAYER = 8
 
 
 class _Bdd:
@@ -251,9 +241,6 @@ class ObddBackend:
         # Per level, the shift that brings its bit of a vertex id down to
         # bit 0, for the membership walk.
         self._bit_shift = [self.bits - 1 - (lv >> 1) for lv in range(2 * self.bits)]
-        # Images of one-vertex sets, by vertex id, filled on first use.
-        self._pre_of = [None] * n
-        self._post_of = [None] * n
         # Neighbour ids for the searches, from `edges` on first use.
         self._edges = edges
         self._adj = None
@@ -348,28 +335,10 @@ class ObddBackend:
             self._collect(node, bit + 1, prefix | weight, out)
 
     def pre(self, z):
-        v = self._vertex_of.get(z)
-        if v is not None:
-            r = self._pre_of[v]
-            if r is None:
-                r = self._pre_of[v] = self._pre(z)
-            return r
-        return self._pre(z)
-
-    def post(self, z):
-        v = self._vertex_of.get(z)
-        if v is not None:
-            r = self._post_of[v]
-            if r is None:
-                r = self._post_of[v] = self._post(z)
-            return r
-        return self._post(z)
-
-    def _pre(self, z):
         dd = self.dd
         return dd.and_exists(self._edge_rel, dd.shift(z, 1), 1)
 
-    def _post(self, z):
+    def post(self, z):
         dd = self.dd
         return dd.shift(dd.and_exists(self._edge_rel, z, 0), -1)
 
@@ -452,22 +421,18 @@ class ObddBackend:
         """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
         `within`, and their union.
 
-        From one vertex the search runs on ids while its layers stay at
-        most ``_SMALL_LAYER`` vertices: a layer is those neighbours of the
-        last one that a membership walk finds in `within` and that were
-        not met before.  Each such layer is built from its ids, and their
-        union once, at the end.  A larger layer hands the search to the
-        BDD loop, as does a start of several vertices.
+        The search runs on ids: a layer is those neighbours of the last
+        one that a membership walk finds in `within` and that were not met
+        before.  Each layer is built from its ids, and their union once,
+        at the end.
         """
-        v = self._vertex_of.get(start)
-        if v is None:
-            if start == _FALSE:
-                return [], _FALSE
-            return self._bdd_layers(side, [start], start, within)
+        if start == _FALSE:
+            return [], _FALSE
         dd = self.dd
         level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
         adj = self._neighbours()[side]
-        out, met, reached, ids = [start], {v}, [v], [v]
+        ids = self.to_ids(start)
+        out, met, reached = [start], set(ids), list(ids)
         while True:
             new = []
             for u in ids:
@@ -492,47 +457,7 @@ class ObddBackend:
             else:
                 new.sort()
                 out.append(self._set_from_sorted(new))
-                if len(new) > _SMALL_LAYER:
-                    reached.sort()
-                    seen = self._set_from_sorted(reached)
-                    return self._bdd_layers(side, out, seen, within)
             ids = new
-
-    def _bdd_layers(self, side, out, seen, within):
-        """The search by BDD operations on from the last layer of `out`,
-        with `seen` the union of `out`.
-
-        A one-vertex image is the next layer if its vertex is in `within`
-        and not yet seen, which two membership walks decide.
-        """
-        dd = self.dd
-        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
-        vertex_of = self._vertex_of
-        image = self.post if side else self.pre
-        layer = out[-1]
-        while True:
-            img = image(layer)
-            v = vertex_of.get(img)
-            if v is None:
-                layer = dd.diff(dd.and_(img, within), seen)
-            else:
-                # The walk of `has_loop`, in `within` and then in `seen`,
-                # kept inline: a method call per walk made the basic ladder
-                # solve about 6% slower.
-                layer = _FALSE
-                h = within
-                while h > _TRUE:
-                    h = high[h] if v >> shift[level[h]] & 1 else low[h]
-                if h == _TRUE:
-                    h = seen
-                    while h > _TRUE:
-                        h = high[h] if v >> shift[level[h]] & 1 else low[h]
-                    if h == _FALSE:
-                        layer = img
-            if layer == _FALSE:
-                return out, seen
-            out.append(layer)
-            seen = dd.or_(seen, layer)
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop

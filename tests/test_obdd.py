@@ -9,14 +9,13 @@ import pytest
 
 from fairchk import SymbolicManager, mec_basic, streett_mdp_basic
 from fairchk.model import Model
-from fairchk.obdd import _SMALL_LAYER, ObddBackend
+from fairchk.obdd import ObddBackend
 from fairchk.symbolic import _BitsetBackend
 
 from helpers import (
     BITSET_REPRESENTATIONS,
     bitset_representation,
     random_graph,
-    reference_obdd_image,
     reference_obdd_layers,
     reference_obdd_spine,
     sized_ids,
@@ -162,7 +161,7 @@ def test_ladder_mec_apply_cache_stays_linear():
 def test_ring_mdp_fairness_node_table_stays_linear():
     """Basic MDP fairness on the benchmark's bidirected ring gives on OBDDs
     the bitset solve's winning set, events and six counters, and keeps its
-    node table within 12 nodes per vertex; it ends with about 8.8.  With
+    node table within 12 nodes per vertex; it ends with about 8.1.  With
     every search's partial unions grown by `or_` it ended with 67.6."""
     model, pairs = chain_mdp(0, n=256, k=32)
     reports = []
@@ -188,42 +187,32 @@ def _sparse_graph(rng, n):
 
 
 def test_one_vertex_images_match_relational_product():
-    """`pre` and `post` of every one-vertex set, asked in random order and
-    twice each, are the relational product's handles on a fresh backend
-    and the neighbours of the vertex; `is_single` and `has_loop` read
-    the same sets."""
+    """The relational product's `pre` and `post` of every one-vertex set
+    are the neighbours of the vertex; `is_single` and `has_loop` read the
+    same sets."""
     rng = random.Random(25)
     for _ in range(20):
         n = rng.randint(1, 64)
         edges = _sparse_graph(rng, n)
-        table, fresh = _backend(n, edges), _backend(n, edges)
+        backend = _backend(n, edges)
         succ = [sorted({v for u, v in edges if u == w}) for w in range(n)]
         pred = [sorted({u for u, v in edges if v == w}) for w in range(n)]
-        calls = [(side, v) for side in (0, 1) for v in range(n)] * 2
-        rng.shuffle(calls)
-        for side, v in calls:
-            got = (table.pre, table.post)[side](table.singleton(v))
-            assert got == reference_obdd_image(fresh, side, fresh.singleton(v))
-            assert table.to_ids(got) == (pred, succ)[side][v]
-        assert len(table.dd.level) == len(fresh.dd.level)
         for v in range(n):
-            assert table.has_loop(v) == ((v, v) in edges)
+            assert backend.to_ids(backend.pre(backend.singleton(v))) == pred[v]
+            assert backend.to_ids(backend.post(backend.singleton(v))) == succ[v]
+            assert backend.has_loop(v) == ((v, v) in edges)
         for ids in sized_ids(rng, n):
-            assert table.is_single(table.from_ids(ids)) == (len(ids) == 1)
+            assert backend.is_single(backend.from_ids(ids)) == (len(ids) == 1)
 
 
 def test_one_vertex_layers_and_spine_match_reference():
     """`layers` and `spine` give the sets of plain BDD operations on every
     layer, their union and the spine, and leave a node table no larger.
 
-    The searches run on ids from one vertex to the end, hand over to the
-    BDD loop at the first layer past the cutoff, or start from several
-    vertices and run on BDDs only; each kind runs at least 20 times, and
-    the BDD loop runs exactly when and from where it should.  There a
-    one-vertex image is placed by membership walks, and at least 20 of
-    those each left `within`, landed in what was seen and were new."""
+    At least 20 searches start from one vertex, 20 from several, and 20
+    meet a layer of more than 8 vertices."""
     rng = random.Random(2025)
-    paths, met = Counter(), Counter()
+    paths = Counter()
     for _ in range(60):
         n = rng.randint(1, 64)
         if rng.random() < 0.5:
@@ -231,10 +220,6 @@ def test_one_vertex_layers_and_spine_match_reference():
         else:
             edges = random_graph(rng, n, rng.randint(2 * n, 4 * n) if n > 4 else n * n)
         fast, ref = _backend(n, edges), _backend(n, edges)
-        # The number of layers each BDD loop run was handed.
-        handed, bdd_loop = [], fast._bdd_layers
-        fast._bdd_layers = lambda side, out, *rest: (
-            handed.append(len(out)) or bdd_loop(side, out, *rest))
         # Per side, the vertices with no neighbour on it: added to a start,
         # they leave its image as it is.
         lonely = [[w for w in range(n) if all(e[1 - side] != w for e in edges)]
@@ -254,7 +239,6 @@ def test_one_vertex_layers_and_spine_match_reference():
             else:
                 start_ids = rng.sample(range(n), rng.randint(0, n))
             start, within = ref.from_ids(start_ids), ref.from_ids(within_ids)
-            handed.clear()
             got = fast.layers(side, fast.from_ids(start_ids), fast.from_ids(within_ids))
             expected = reference_obdd_layers(ref, side, start, within)
             layer_ids = [ref.to_ids(h) for h in expected[0]]
@@ -264,26 +248,7 @@ def test_one_vertex_layers_and_spine_match_reference():
                 assert fast.spine(got[0]) == reference_obdd_spine(ref, expected[0])
             assert len(fast.dd.level) <= len(ref.dd.level)
 
-            # Which path the search takes, and from which layer on the BDD
-            # loop runs: the one-vertex images it meets there, by kind.
-            big = [i for i, ids in enumerate(layer_ids) if len(ids) > _SMALL_LAYER]
-            if len(start_ids) > 1:
-                path, first = "bdd", 0
-            elif big:
-                path, first = "fallback", big[0]
-            else:
-                path, first = "ids" if start_ids else "empty", None
-            paths[path] += 1
-            assert handed == ([] if first is None else [first + 1]), path
-            if first is None:
-                continue
-            seen = {v for ids in layer_ids[:first] for v in ids}
-            for layer, ids in zip(expected[0][first:], layer_ids[first:]):
-                seen.update(ids)
-                image = ref.to_ids(reference_obdd_image(ref, side, layer))
-                if len(image) == 1:
-                    w = image[0]
-                    met["outside" if w not in within_ids
-                        else "seen" if w in seen else "new"] += 1
-    assert min(paths[kind] for kind in ("ids", "fallback", "bdd")) >= 20, paths
-    assert min(met[kind] for kind in ("outside", "seen", "new")) >= 20, met
+            size = min(len(start_ids), 2)
+            paths[("none", "one", "several")[size]] += 1
+            paths["wide"] += max(map(len, layer_ids), default=0) > 8
+    assert min(paths[kind] for kind in ("one", "several", "wide")) >= 20, paths
