@@ -32,23 +32,26 @@ breadth-first search, by ``pre`` for side 0 or ``post`` for side 1) and
 the first call.  A search runs on ids: it keeps the ids it has met in a
 Python set, and a layer is those neighbours of the layer before that a
 membership walk finds in ``within`` and that were not met yet.  Each
-layer's BDD is built from its ids, and their union once, at the end, so
-no partial union and no cut of an image is made.  ``spine`` hops to the
-layer before when that is one vertex, and otherwise to the least
-in-neighbour that a walk finds in it.  Every layer is the set that ``dd``
-operations alone would give, but fewer nodes and memo entries are built,
-in another order.
+layer stays the ascending list of its ids; only the union becomes a BDD,
+built once from its ids at the end, so no partial union, no cut of an
+image and no layer BDD is made.  ``spine`` hops to the layer before when
+that is one vertex, and otherwise to the least in-neighbour in a Python
+set of it.  Every layer holds the vertices that ``dd`` operations alone
+would give, but fewer nodes and memo entries are built, in another
+order.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
 SCC kernel builds each spine once from its vertex ids, which makes only
 the spine's own nodes and no cache entry, rather than keeping every
 partial union of a chain of ``or_``.  The basic MEC solve of the
-1,152-vertex benchmark ladder ends with 13,569 nodes and 53,969 cache
+1,152-vertex benchmark ladder ends with 13,394 nodes and 53,969 cache
 entries.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .model import neighbour_tuples
 
@@ -419,12 +422,12 @@ class ObddBackend:
 
     def layers(self, side, start, within):
         """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
-        `within`, and their union.
+        `within`, each as its ascending id list, and their union.
 
         The search runs on ids: a layer is those neighbours of the last
         one that a membership walk finds in `within` and that were not met
-        before.  Each layer is built from its ids, and their union once,
-        at the end.
+        before.  No layer becomes a BDD; their union is built once, at the
+        end.
         """
         if start == _FALSE:
             return [], _FALSE
@@ -432,7 +435,7 @@ class ObddBackend:
         level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
         adj = self._neighbours()[side]
         ids = self.to_ids(start)
-        out, met, reached = [start], set(ids), list(ids)
+        out, met = [ids], set(ids)
         while True:
             new = []
             for u in ids:
@@ -449,35 +452,23 @@ class ObddBackend:
             if not new:
                 if len(out) == 1:
                     return out, start
-                reached.sort()
-                return out, self._set_from_sorted(reached)
-            reached += new
-            if len(new) == 1:
-                out.append(self._minterms[new[0]])
-            else:
-                new.sort()
-                out.append(self._set_from_sorted(new))
+                return out, self._set_from_sorted(sorted(chain.from_iterable(out)))
+            new.sort()
+            out.append(new)
             ids = new
 
     def spine(self, layers):
         """Ids of a path back from the last layer's least vertex, each hop
-        to the least in-neighbour that a membership walk finds in the layer
-        before.  A layer of one vertex is the hop itself."""
-        dd = self.dd
-        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
-        vertex_of, preds = self._vertex_of, self._neighbours()[0]
-        v = self.min_vertex(layers[-1])
+        to the least in-neighbour in the layer before.  A layer of one
+        vertex is the hop itself."""
+        preds = self._neighbours()[0]
+        v = layers[-1][0]
         ids = [v]
         for prev in reversed(layers[:-1]):
-            u = vertex_of.get(prev)
-            if u is None:
-                for w in preds[v]:
-                    if u is None or w < u:
-                        h = prev
-                        while h > _TRUE:
-                            h = high[h] if w >> shift[level[h]] & 1 else low[h]
-                        if h == _TRUE:
-                            u = w
-            v = u
+            if len(prev) == 1:
+                v = prev[0]
+            else:
+                prev = set(prev)
+                v = min(w for w in preds[v] if w in prev)
             ids.append(v)
         return ids

@@ -37,15 +37,17 @@ of every solve, so their inner loops run on raw backend handles rather
 than through the manager, and so does the forward/backward variant; the
 skeleton kernel's two searches and spine walk run inside the backend, as
 ``layers`` by ``post``, ``spine``, and ``layers`` by ``pre`` per
-recursion step, or only the first for a pivot with no successor.  Each
-kernel checks the ownership of its incoming handles at entry, counts its
-operations in local tallies, and charges them with ``mgr._charge`` (once
-per call, or once per lock-step round): exactly the counts the same
-sequence of manager calls would make, which a paused block
-(``mgr.counters_paused``) puts back when it ends.  Results are wrapped
-as `VertexSet` on the way out, except the ids of one-vertex parts.
-Backend methods, these two included, are looked up when a kernel runs,
-so patches on the backend classes apply.
+recursion step, or only the first for a pivot with no successor.  The
+kernels read a search's layers only by their number, its step count, and
+through ``spine``; their form is the backend's (on OBDDs, id lists).
+Each kernel checks the ownership of its incoming handles at entry,
+counts its operations in local tallies, and charges them with
+``mgr._charge`` (once per call, or once per lock-step round): exactly
+the counts the same sequence of manager calls would make, which a
+paused block (``mgr.counters_paused``) puts back when it ends.  Results
+are wrapped as `VertexSet` on the way out, except the ids of one-vertex
+parts.  Backend methods, these two included, are looked up when a
+kernel runs, so patches on the backend classes apply.
 """
 
 from __future__ import annotations
@@ -211,7 +213,6 @@ def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
     s = mgr._h(svs)
     alive = [mgr._h(lost_in), mgr._h(lost_out)]
     b = mgr._b
-    card, to_ids = b.card, b.to_ids
     union, intersect, difference = b.union, b.intersect, b.difference
     is_empty, singleton = b.is_empty, b.singleton
     if is_empty(alive[0]) and is_empty(alive[1]):
@@ -219,17 +220,21 @@ def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
 
     # Separate state per search kind: a vertex may start both a backward
     # and a forward search.  Index 0 is the backward kind, 1 the forward.
+    # A pruned search leaves its accumulators, so their keys are the live
+    # start ids, ascending.
     kinds = []
     for step, starts in zip((b.pre, b.post), alive):
-        acc = {v: singleton(v) for v in to_ids(starts)}
+        acc = {v: singleton(v) for v in b.to_ids(starts)}
         kinds.append((step, acc, dict(acc)))
 
     while True:
-        rounds = [to_ids(a) for a in alive]
+        live_in, live_out = (len(accs) for _, accs, _ in kinds)
 
         # Per search: one step, three set operations (intersect, difference,
         # the collision intersect) and one cardinality; one set operation
-        # more when the search grows and one when it is pruned.
+        # more when the search grows and one when it is pruned.  `v` is in
+        # its own set and still in `live`, so the set holds a second live
+        # start vertex exactly when the collision intersect is not {v}.
         steps = [0, 0]
         n_extra = 0
         pruned = list(alive)
@@ -237,7 +242,7 @@ def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
         for k, (step, accs, fronts) in enumerate(kinds):
             live = pruned[k]
             n = 0
-            for v in rounds[k]:
+            for v in list(accs):
                 n += 1
                 acc = accs[v]
                 new = difference(intersect(step(fronts[v]), s), acc)
@@ -247,8 +252,9 @@ def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
                 else:
                     cand = union(acc, new)
                     n_extra += 1
-                if card(intersect(cand, live)) > 1:
+                if intersect(cand, live) != singleton(v):
                     live = difference(live, singleton(v))
+                    del accs[v]
                     n_extra += 1
                 elif closed:
                     found = acc
@@ -268,7 +274,7 @@ def lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
             cardinality=n_pre + n_post,
         )
         if trace is not None:
-            trace.append({"live_in": len(rounds[0]), "live_out": len(rounds[1]),
+            trace.append({"live_in": live_in, "live_out": live_out,
                           "pre_ops": n_pre, "post_ops": n_post})
         if found is not None:
             return tuple(VertexSet(mgr, h) for h in (found, *pruned))

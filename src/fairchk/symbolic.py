@@ -19,7 +19,10 @@ exactly what the same sequence of manager calls would have counted.  The
 backend protocol has, besides the set operations, the skeleton kernel's
 loops: ``spine``, and ``layers(side, start, within)``, one breadth-first
 search by ``pre`` (side 0) or ``post`` (side 1) that also serves
-``reach_backward``.  The kernel builds each spine of ``d`` vertices once
+``reach_backward``.  It returns the layers and their union as a set.  The
+layers are backend-owned values that callers read only by ``len`` and
+through the same backend's ``spine``: masks on bitsets, ascending id
+lists on OBDDs.  The kernel builds each spine of ``d`` vertices once
 from its ids and charges it as the ``d - 1`` binary unions that would
 join them.  It also has
 ``is_single`` and ``has_loop`` (whether one vertex, given by its id, has a

@@ -232,8 +232,11 @@ def reference_fwbw_sccs(mgr, svs):
     return out, []
 
 
-def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
-    """Lock-step search through manager calls; returns (comp, in, out)."""
+def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None, events=None):
+    """Lock-step search through manager calls; returns (comp, in, out).
+
+    `events`, when given a Counter, counts the searches pruned ("pruned")
+    and those among them whose step found nothing new ("closed and pruned")."""
     h_acc, h_front = {}, {}
     for v in mgr.to_ids(lost_in):
         h_acc[v] = h_front[v] = mgr.singleton(v)
@@ -260,6 +263,9 @@ def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
             cand = h_acc[h] if mgr.is_empty(new) else mgr.union(h_acc[h], new)
             if mgr.cardinality(mgr.intersect(cand, h_pruned)) > 1:
                 h_pruned = mgr.difference(h_pruned, mgr.singleton(h))
+                if events is not None:
+                    events["pruned"] += 1
+                    events["closed and pruned"] += mgr.is_empty(new)
             elif mgr.is_empty(new):
                 returned = (h_acc[h], h_pruned, t_alive)
                 break
@@ -273,6 +279,9 @@ def reference_lock_step_search(mgr, svs, lost_in, lost_out, trace=None):
                 cand = t_acc[t] if mgr.is_empty(new) else mgr.union(t_acc[t], new)
                 if mgr.cardinality(mgr.intersect(cand, t_pruned)) > 1:
                     t_pruned = mgr.difference(t_pruned, mgr.singleton(t))
+                    if events is not None:
+                        events["pruned"] += 1
+                        events["closed and pruned"] += mgr.is_empty(new)
                 elif mgr.is_empty(new):
                     returned = (t_acc[t], h_pruned, t_pruned)
                     break

@@ -29,6 +29,14 @@ def _backend(n, edges, randoms=frozenset()):
     return ObddBackend(n, edges, randoms)
 
 
+def _layer_ids(backend, layers):
+    """Vertex ids of each layer of a search: OBDD layers are their ids,
+    bitset layers are masks."""
+    if isinstance(backend, ObddBackend):
+        return layers
+    return [backend.to_ids(h) for h in layers]
+
+
 class TestSetsAndCounting:
     def test_from_to_ids_round_trip(self):
         rng = random.Random(5)
@@ -125,10 +133,9 @@ def test_ops_match_bitset_backend(n):
                 [bk.to_ids(h) for h in sets],
                 bk.card(a),
                 bk.min_vertex(a) if a_ids else None,
-                [bk.to_ids(h) for h in (*layers, fw)],
+                _layer_ids(bk, layers), bk.to_ids(fw),
                 bk.spine(layers),
-                [([bk.to_ids(h) for h in found], bk.to_ids(seen))
-                 for found, seen in searches],
+                [(_layer_ids(bk, found), bk.to_ids(seen)) for found, seen in searches],
                 bk.spine(searches[1][0]) if b_ids else None,
             ))
         assert results[0] == results[1] == results[2], (n, a_ids, b_ids, v)
@@ -136,7 +143,7 @@ def test_ops_match_bitset_backend(n):
 
 def test_ladder_mec_node_table_stays_linear():
     """The basic MEC solve of the benchmark's ladder keeps its node table
-    within 15 nodes per vertex; it ends with about 11.7.  Spines grown one
+    within 15 nodes per vertex; it ends with about 11.6.  Spines grown one
     binary union at a time left about 91 per vertex here, every partial
     spine a dead BDD, and searches that grew every partial union of their
     layers by `or_` left 24.2."""
@@ -161,7 +168,7 @@ def test_ladder_mec_apply_cache_stays_linear():
 def test_ring_mdp_fairness_node_table_stays_linear():
     """Basic MDP fairness on the benchmark's bidirected ring gives on OBDDs
     the bitset solve's winning set, events and six counters, and keeps its
-    node table within 12 nodes per vertex; it ends with about 8.1.  With
+    node table within 12 nodes per vertex; it ends with about 7.4.  With
     every search's partial unions grown by `or_` it ended with 67.6."""
     model, pairs = chain_mdp(0, n=256, k=32)
     reports = []
@@ -205,25 +212,23 @@ def test_one_vertex_images_match_relational_product():
             assert backend.is_single(backend.from_ids(ids)) == (len(ids) == 1)
 
 
-def test_one_vertex_layers_and_spine_match_reference():
-    """`layers` and `spine` give the sets of plain BDD operations on every
-    layer, their union and the spine, and leave a node table no larger.
-
-    At least 20 searches start from one vertex, 20 from several, and 20
-    meet a layer of more than 8 vertices."""
-    rng = random.Random(2025)
-    paths = Counter()
+def _search_cases(seed):
+    """60 random graphs, sparse or dense, each as ``(n, edges, searches)``
+    with 10 searches ``(side, start ids, within ids)``: half from one
+    vertex, some from one vertex and vertices with no neighbour on the
+    side searched, the rest from a random subset."""
+    rng = random.Random(seed)
     for _ in range(60):
         n = rng.randint(1, 64)
         if rng.random() < 0.5:
             edges = _sparse_graph(rng, n)
         else:
             edges = random_graph(rng, n, rng.randint(2 * n, 4 * n) if n > 4 else n * n)
-        fast, ref = _backend(n, edges), _backend(n, edges)
         # Per side, the vertices with no neighbour on it: added to a start,
         # they leave its image as it is.
         lonely = [[w for w in range(n) if all(e[1 - side] != w for e in edges)]
                   for side in (0, 1)]
+        searches = []
         for _ in range(10):
             density = rng.choice((0.3, 0.5, 0.8, 1.0))
             within_ids = [v for v in range(n) if rng.random() < density]
@@ -238,11 +243,26 @@ def test_one_vertex_layers_and_spine_match_reference():
                     start_ids = rng.sample(range(n), min(n, rng.randint(2, 3)))
             else:
                 start_ids = rng.sample(range(n), rng.randint(0, n))
+            searches.append((side, start_ids, within_ids))
+        yield n, edges, searches
+
+
+def test_one_vertex_layers_and_spine_match_reference():
+    """`layers` and `spine` give the vertices of plain BDD operations on
+    every layer, their union and the spine, and leave a node table no
+    larger.
+
+    At least 20 searches start from one vertex, 20 from several, and 20
+    meet a layer of more than 8 vertices."""
+    paths = Counter()
+    for n, edges, searches in _search_cases(2025):
+        fast, ref = _backend(n, edges), _backend(n, edges)
+        for side, start_ids, within_ids in searches:
             start, within = ref.from_ids(start_ids), ref.from_ids(within_ids)
             got = fast.layers(side, fast.from_ids(start_ids), fast.from_ids(within_ids))
             expected = reference_obdd_layers(ref, side, start, within)
             layer_ids = [ref.to_ids(h) for h in expected[0]]
-            assert [fast.to_ids(h) for h in got[0]] == layer_ids
+            assert got[0] == layer_ids
             assert fast.to_ids(got[1]) == ref.to_ids(expected[1])
             if side == 1 and start_ids:
                 assert fast.spine(got[0]) == reference_obdd_spine(ref, expected[0])
@@ -252,3 +272,23 @@ def test_one_vertex_layers_and_spine_match_reference():
             paths[("none", "one", "several")[size]] += 1
             paths["wide"] += max(map(len, layer_ids), default=0) > 8
     assert min(paths[kind] for kind in ("one", "several", "wide")) >= 20, paths
+
+
+def test_searches_build_only_their_union():
+    """A search builds no BDD but the union of its layers: after each one
+    the node table is that of a twin backend that built only the start,
+    the bound and the union from their ids, in that order.
+
+    Of the 600 searches, 327 reach a layer of several vertices past the
+    start, so a search that built such a layer would add nodes."""
+    several = 0
+    for n, edges, searches in _search_cases(2026):
+        bk, twin = _backend(n, edges), _backend(n, edges)
+        for side, start_ids, within_ids in searches:
+            layers, union = bk.layers(side, bk.from_ids(start_ids), bk.from_ids(within_ids))
+            for ids in (start_ids, within_ids, bk.to_ids(union)):
+                twin.from_ids(ids)
+            assert (bk.dd.level, bk.dd.low, bk.dd.high) == (
+                twin.dd.level, twin.dd.low, twin.dd.high)
+            several += any(len(layer) > 1 for layer in layers[1:])
+    assert several >= 20, several

@@ -337,13 +337,20 @@ class TestMatchesHandleLevelReference:
             yield "bitset"
 
     def test_sets_counters_and_trace(self, backend):
+        """The reference asks "more than one live start vertex" by
+        cardinality, the kernel by comparing with the search's own vertex.
+        The inputs prune 34 searches; each of the 200 calls ends with a
+        search that closes unpruned.  None closes and is pruned in one
+        step: the set it closes with was checked the round before against
+        a live set that has only shrunk since."""
+        events = collections.Counter()
+        reference = partial(reference_lock_step_search, events=events)
         for seed in range(REFERENCE_SEEDS):
             model, *inputs = _kernel_inputs(seed)
             got = _run_kernels(model, backend, all_sccs, lock_step_search, inputs)
-            want = _run_kernels(
-                model, backend, reference_all_sccs, reference_lock_step_search, inputs
-            )
+            want = _run_kernels(model, backend, reference_all_sccs, reference, inputs)
             assert got == want, seed
+        assert events["pruned"] >= 1 and events["closed and pruned"] == 0, events
 
     def test_whole_graph_decomposition(self, backend):
         """Both variants give the reference's partition and all six of its
