@@ -21,10 +21,9 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-One-vertex sets are the minterms, built at construction and indexed by
-node, so ``is_single`` is one dict lookup.  Whether a vertex is in a set
-is one walk down the path of its bits (``has_loop`` is such a walk in the
-loop set).
+One-vertex sets are the minterms, built at construction and kept in a
+list by vertex id.  Whether a vertex is in a set is one walk down the
+path of its bits.  ``card`` counts the ids that ``to_ids`` lists.
 
 The SCC kernels' loops, ``layers(side, start, within)`` (one
 breadth-first search, by ``pre`` for side 0 or ``post`` for side 1) and
@@ -240,7 +239,6 @@ class ObddBackend:
         self.dd = _Bdd(2 * self.bits)
         self._domain = self._set_from_sorted(range(n))
         self._minterms = [self._minterm(u) for u in range(n)]
-        self._vertex_of = dict(zip(self._minterms, range(n)))
         # Per level, the shift that brings its bit of a vertex id down to
         # bit 0, for the membership walk.
         self._bit_shift = [self.bits - 1 - (lv >> 1) for lv in range(2 * self.bits)]
@@ -255,7 +253,6 @@ class ObddBackend:
                 spread[u] |= (u >> i & 1) << 2 * i
         words = sorted(spread[u] << 1 | spread[v] for u, v in edges)
         self._edge_rel = self._from_words(words, 2 * self.bits, 1)
-        self._loops = self._set_from_sorted(sorted(u for u, v in edges if u == v))
         self.vr = self._set_from_sorted(sorted(set(random_vertices)))
         self.v1 = self.dd.diff(self._domain, self.vr)
 
@@ -365,18 +362,7 @@ class ObddBackend:
         return self.dd.diff(self._domain, a)
 
     def card(self, h):
-        return self._count(h, 0)
-
-    def _count(self, node, bit):
-        if bit == self.bits:
-            return 1 if node == _TRUE else 0
-        if node == _FALSE:
-            return 0
-        if node != _TRUE and self.dd.level[node] == 2 * bit:
-            return self._count(self.dd.low[node], bit + 1) + self._count(
-                self.dd.high[node], bit + 1
-            )
-        return 2 * self._count(node, bit + 1)
+        return len(self.to_ids(h))
 
     def min_vertex(self, h):
         # MSB-first ordering makes the greedy 0-preferring walk minimal;
@@ -395,19 +381,6 @@ class ObddBackend:
 
     def is_empty(self, h):
         return h == _FALSE
-
-    def is_single(self, h):
-        return h in self._vertex_of
-
-    def has_loop(self, v):
-        """Whether `v` is in the loop set: one walk down the path of its
-        bits, a skipped level taking either bit."""
-        dd = self.dd
-        level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
-        h = self._loops
-        while h > _TRUE:
-            h = high[h] if v >> shift[level[h]] & 1 else low[h]
-        return h == _TRUE
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 
@@ -443,7 +416,8 @@ class ObddBackend:
                     if w in met:
                         continue
                     met.add(w)
-                    # The walk of `has_loop`, in `within`, kept inline.
+                    # Down the path of the bits of `w` in `within`; a
+                    # skipped level takes either bit.
                     h = within
                     while h > _TRUE:
                         h = high[h] if w >> shift[level[h]] & 1 else low[h]

@@ -24,11 +24,10 @@ layers are backend-owned values that callers read only by ``len`` and
 through the same backend's ``spine``: masks on bitsets, ascending id
 lists on OBDDs.  The kernel builds each spine of ``d`` vertices once
 from its ids and charges it as the ``d - 1`` binary unions that would
-join them.  It also has
-``is_single`` and ``has_loop`` (whether one vertex, given by its id, has a
-self-loop), which serve :meth:`SymbolicManager.is_trivial` in constant time
-on one vertex, and :meth:`SymbolicManager.looped_singletons` on the ids of
-the one-vertex parts of an SCC split.
+join them.  Whether a vertex has a self-loop is no backend question: the
+manager keeps the ids of the looped vertices in one ``frozenset``, read
+by :meth:`SymbolicManager.is_trivial` and, on the ids of the one-vertex
+parts of an SCC split, by :meth:`SymbolicManager.looped_singletons`.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -338,16 +337,6 @@ class _BitsetBackend:
     def is_empty(self, h):
         return h == 0
 
-    def is_single(self, h):
-        return h != 0 and h == 1 << (h.bit_length() - 1)
-
-    def has_loop(self, v):
-        """Whether `v` has a self-loop, read off its own adjacency, so no
-        loop set is built at construction."""
-        if self.out_adj is None:
-            return self.out_masks[v] >> v & 1 == 1
-        return v in self.out_adj[v]
-
     def layers(self, side, start, within):
         """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
         `within`, and their union."""
@@ -405,6 +394,7 @@ class SymbolicManager:
             raise UsageError(f"unknown backend {backend!r}")
         self.n = n
         self.backend = backend
+        self._looped = frozenset(u for u, v in edges if u == v)
         self.counters = StepCounters()
         self.universe = VertexSet(self, self._b.universe())
         self.v_random = VertexSet(self, self._b.from_ids(sorted(random_vertices)))
@@ -553,10 +543,14 @@ class SymbolicManager:
         """
         h = self._h(z)
         self.counters.cardinality_ops += 1
-        if not self._b.is_single(h):
+        b = self._b
+        if b.is_empty(h):
+            return False
+        v = b.min_vertex(h)
+        if h != b.singleton(v):
             return False
         self.counters.set_ops += 1
-        return not self._b.has_loop(self._b.min_vertex(h))
+        return v not in self._looped
 
     def looped_singletons(self, ids) -> list:
         """The one-vertex sets of the vertices in the list `ids` that have a
@@ -570,8 +564,8 @@ class SymbolicManager:
             if not 0 <= v < self.n:
                 raise UsageError(f"vertex {v} out of range")
         self._charge(set_ops=len(ids), cardinality=len(ids))
-        b = self._b
-        return [VertexSet(self, b.singleton(v)) for v in ids if b.has_loop(v)]
+        looped, b = self._looped, self._b
+        return [VertexSet(self, b.singleton(v)) for v in ids if v in looped]
 
     def pick(self, z: VertexSet) -> int:
         """An arbitrary vertex of `z`; deterministically the minimum id."""

@@ -304,9 +304,9 @@ def test_pre_matches_edge_enumeration(rng, n):
 @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=40))
 def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
     """`is_trivial` on masks, tuples and OBDD, and what it counts: one
-    cardinality operation, and one set operation more on one vertex.  The
-    backend's `has_loop` under it tells the self-loop vertices by id, and
-    `looped_singletons` charges what `is_trivial` does per vertex."""
+    cardinality operation, and one set operation more on one vertex.
+    `looped_singletons` finds the self-loop vertices by id and charges what
+    `is_trivial` does per vertex."""
     model = _random_model(rng, n)
     forced = {(v, v) for v in rng.sample(range(n), n // 3)}
     edges = tuple(sorted(set(model.edges) | forced))
@@ -324,8 +324,6 @@ def test_is_trivial_is_one_vertex_without_a_self_loop(rng, n):
             before = mgr.snapshot_counters()
             single = len(draw) == 1
             assert mgr.is_trivial(z) == (single and draw[0] not in loops), draw
-            b = mgr._b
-            assert {v for v in draw if b.has_loop(v)} == set(draw) & loops, draw
             assert (mgr.snapshot_counters() - before
                     == StepCounters(set_ops=int(single), cardinality_ops=1))
         before = mgr.snapshot_counters()
@@ -417,7 +415,7 @@ def test_tuples_match_masks_at_full_width(n):
                 bk.complement(a), bk.cpre_random(a, bk.universe()),
                 bk.cpre_random(a, b), searches,
                 [bk.spine(found) for found, _ in searches[::2] if found],
-                bk.min_vertex(a) if a_ids else None, bk.is_single(a),
+                bk.min_vertex(a) if a_ids else None,
             ))
         assert results[0] == results[1], (n, a_ids[:3], b_ids[:3])
         # The searches by their definition; `start` need not lie in `within`.
