@@ -4,9 +4,9 @@ Vertex ids are encoded in ``b = ceil(log2 n)`` bits, most significant bit
 first.  Current-state and next-state variables are interleaved: the bit
 ``i`` of the current vertex sits at BDD level ``2*i`` and the same bit of
 the successor vertex at level ``2*i + 1``.  Vertex sets are BDDs over the
-current-state levels only; the edge relation is a BDD over both rails,
-built in one pass from the sorted edges, each read as one word of the
-interleaved bits.
+current-state levels only; the edge relation is a BDD over both rails.
+Both are built top-down from sorted words: a set from its ids, the
+relation from its edges, each read as one word of the interleaved bits.
 
 The engine is a plain unique-table/apply-cache construction.  Nodes are
 hash-consed.  Each operation is its own memoized recursion with its own
@@ -50,6 +50,7 @@ entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 
 from .model import neighbour_tuples
@@ -266,31 +267,38 @@ class ObddBackend:
         """BDD of the sorted, distinct `width`-bit `words`.
 
         Word bit i, counted from the most significant, is BDD level
-        ``stride * i``.  Built from the bottom level up: each pass makes
-        one node per word prefix one bit shorter, joining two words that
-        differ only in their last bit.  It makes no recursive call and no
-        search; on sets of 5 to 1,000 of 1,152 vertex ids it took about a
-        third less time than splitting the words top-down by bisection.
+        ``stride * i``.  Built top-down: the words of an aligned block of
+        ``2**bit`` values are split at the block's midpoint by bisection.
+        A block that holds all its values is true, and one that holds a
+        single word is that word's path, so a run of consecutive words
+        costs at most two ``mk`` calls per bit and a scattered set no more
+        ``mk`` calls than it has nodes.  On 1,152 vertex ids a run of
+        1,000 takes about 5 µs; a bottom-up pass, one ``mk`` call per word
+        prefix and level, takes 200 µs there, and about 0.7 times as long
+        as this on 100 to 600 scattered ids, which no benchmark workload
+        builds.
         """
         mk = self.dd.mk
-        prefixes, nodes = list(words), [_TRUE] * len(words)
-        for lv in range(stride * (width - 1), -1, -stride):
-            up, joined = [], []
-            i, count = 0, len(nodes)
-            while i < count:
-                p = prefixes[i]
-                if p & 1:
-                    h = mk(lv, _FALSE, nodes[i])
-                elif i + 1 < count and prefixes[i + 1] == p | 1:
-                    h = mk(lv, nodes[i], nodes[i + 1])
-                    i += 1
-                else:
-                    h = mk(lv, nodes[i], _FALSE)
-                i += 1
-                up.append(p >> 1)
-                joined.append(h)
-            prefixes, nodes = up, joined
-        return nodes[0] if nodes else _FALSE
+
+        def build(lo, hi, base, bit):
+            # words[lo:hi] lie in [base, base + 2**bit).
+            if lo == hi:
+                return _FALSE
+            if hi - lo == 1 << bit:
+                return _TRUE
+            if hi - lo == 1:
+                w, node = words[lo], _TRUE
+                for i in range(bit):
+                    lv = stride * (width - 1 - i)
+                    node = mk(lv, _FALSE, node) if w >> i & 1 else mk(lv, node, _FALSE)
+                return node
+            bit -= 1
+            half = base | 1 << bit
+            mid = bisect_left(words, half, lo, hi)
+            return mk(stride * (width - 1 - bit),
+                      build(lo, mid, base, bit), build(mid, hi, half, bit))
+
+        return build(0, len(words), 0, width)
 
     def _minterm(self, u):
         node = _TRUE

@@ -6,6 +6,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairchk import SymbolicManager, mec_basic, streett_mdp_basic
 from fairchk.model import Model
@@ -61,6 +63,84 @@ class TestSetsAndCounting:
         backend = _backend(1, [(0, 0)])
         assert backend.to_ids(backend.universe()) == [0]
         assert backend.to_ids(backend.pre(backend.universe())) == [0]
+
+
+def _shaped_sets(rng, n):
+    """Id lists of each shape the builder cuts: empty, the full domain, one
+    run, two or three runs with a few stray ids, and scattered ids."""
+
+    def run():
+        a = rng.randrange(n)
+        return range(a, rng.randint(a + 1, n))
+
+    runs = set(rng.sample(range(n), min(n, rng.randint(1, 3))))
+    for _ in range(rng.randint(2, 3)):
+        runs.update(run())
+    scattered = rng.sample(range(n), rng.randint(1, max(1, n // 4)))
+    return [[], list(range(n)), list(run()), sorted(runs), sorted(scattered)]
+
+
+def _fold_union(backend, ids):
+    h = backend.empty()
+    for v in ids:
+        h = backend.union(h, backend.singleton(v))
+    return h
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 1152, 1153])
+def test_from_ids_is_the_union_of_its_minterms(n, rng):
+    """`from_ids` gives the node of the `or_` fold of its one-vertex sets:
+    the reduced BDD, with full blocks cut to true, also at sizes one past
+    a power of two whose padding ids lie above `n`."""
+    backend = _backend(n, [(v, (v + 1) % n) for v in range(n)])
+    for ids in _shaped_sets(rng, n):
+        assert backend.from_ids(ids) == _fold_union(backend, ids), ids
+
+
+@pytest.mark.parametrize("graph", ["ladder", "random"])
+def test_edge_relation_is_the_union_of_its_edges(graph):
+    """The relation built from the sorted edge words is the node of the
+    `or_` fold of the per-edge products of a source and a shifted target
+    minterm."""
+    if graph == "ladder":
+        model, _ = ladder_mec(0, d=40)
+        n, edges = model.n, model.edges
+    else:
+        n = 150
+        edges = random_graph(random.Random(7), n, 450)
+    backend = _backend(n, edges)
+    dd = backend.dd
+    rel = backend.empty()
+    for u, v in edges:
+        edge = dd.and_(backend.singleton(u), dd.shift(backend.singleton(v), 1))
+        rel = dd.or_(rel, edge)
+    assert backend._edge_rel == rel
+
+
+@pytest.mark.parametrize("n", [1152, 1153, 4097])
+def test_one_run_costs_at_most_two_mk_calls_per_bit(n):
+    """A run of consecutive ids, anywhere in the domain, costs at most two
+    `mk` calls per bit of a vertex id, however long it is: the builder
+    cuts full blocks instead of making a node per id and level."""
+    backend = _backend(n, [(v, v) for v in range(n)])
+    calls = 0
+    mk = backend.dd.mk
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return mk(*args)
+
+    backend.dd.mk = counted
+    rng = random.Random(n)
+    runs = [(0, n), (0, 1000), (n - 1000, n), (1, n - 1), (n // 2, n // 2 + 1)]
+    runs += [sorted(rng.sample(range(n + 1), 2)) for _ in range(20)]
+    for a, b in runs:
+        calls = 0
+        assert backend.to_ids(backend.from_ids(range(a, b))) == list(range(a, b))
+        assert calls <= 2 * backend.bits, (a, b, calls)
 
 
 class TestEdgeOperators:
