@@ -21,23 +21,27 @@ as the recursion leaves it, after the technique of CUDD's
 ``Cudd_bddAndAbstract``.  ``pre`` and ``post`` use it, so the conjunction
 of the edge relation with a set is never built.
 
-One-vertex sets are the minterms, built at construction and kept in a
-list by vertex id.  Whether a vertex is in a set is one walk down the
-path of its bits.  ``card`` counts the ids that ``to_ids`` lists.
+One-vertex sets are the minterms, kept in a list by vertex id.  The
+constructor builds them and the words of the edges in one sweep over the
+id bits, from the least significant up, in which the ids with bit ``i``
+set extend those below ``2**i``: each minterm node costs one ``mk`` call,
+and no id at or above ``n`` gets one.  Whether a vertex is in a set is one
+walk down the path of its bits.  ``card`` counts the ids that ``to_ids``
+lists.
 
 The SCC kernels' loops, ``layers(side, start, within)`` (one
 breadth-first search, by ``pre`` for side 0 or ``post`` for side 1) and
-``spine``, read per-vertex neighbour-id tuples, built from the edges on
-the first call.  A search runs on ids: it keeps the ids it has met in a
-Python set, and a layer is those neighbours of the layer before that a
-membership walk finds in ``within`` and that were not met yet.  Each
-layer stays the ascending list of its ids; only the union becomes a BDD,
-built once from its ids at the end, so no partial union, no cut of an
-image and no layer BDD is made.  ``spine`` hops to the layer before when
-that is one vertex, and otherwise to the least in-neighbour in a Python
-set of it.  Every layer holds the vertices that ``dd`` operations alone
-would give, but fewer nodes and memo entries are built, in another
-order.
+``spine``, read per-vertex neighbour-id tuples, built at construction:
+every solve searches in its initial SCC split.  A search runs on ids: it
+keeps the ids it has met in a Python set, and a layer is those
+neighbours of the layer before that a membership walk finds in
+``within`` and that were not met yet.  Each layer stays the ascending
+list of its ids; only the union becomes a BDD, built once from its ids
+at the end, so no partial union, no cut of an image and no layer BDD is
+made.  ``spine`` hops to the layer before when that is one vertex, and
+otherwise to the least in-neighbour in a Python set of it.  Every layer
+holds the vertices that ``dd`` operations alone would give, but fewer
+nodes and memo entries are built, in another order.
 
 No dynamic reordering and no garbage collection: managers live for one
 algorithm run on desk-scale inputs, so the node table simply grows.  The
@@ -236,25 +240,34 @@ class ObddBackend:
 
     def __init__(self, n, edges, random_vertices):
         self.n = n
-        self.bits = max(1, (n - 1).bit_length())
-        self.dd = _Bdd(2 * self.bits)
+        self.bits = bits = max(1, (n - 1).bit_length())
+        self.dd = _Bdd(2 * bits)
+        mk = self.dd.mk
         self._domain = self._set_from_sorted(range(n))
-        self._minterms = [self._minterm(u) for u in range(n)]
+        # One sweep over the id bits, least significant first: the ids with
+        # bit i set extend those below 2**i.  After step i, `minterms[u]`
+        # is the path of the low i + 1 bits of u, and `spread[u]` holds bit
+        # j of u at bit 2*j, so edge (u, v) is the word ``spread[u] << 1 |
+        # spread[v]`` in the bit order of the relation's levels.  Only ids
+        # below n are extended: no node is made for a padding id.
+        minterms, spread = [_TRUE], [0]
+        for i in range(bits):
+            lv = 2 * (bits - 1 - i)
+            up = min(n, 2 << i) - len(minterms)
+            minterms = ([mk(lv, h, _FALSE) for h in minterms]
+                        + [mk(lv, _FALSE, h) for h in minterms[:up]])
+            spread += [w | 1 << 2 * i for w in spread[:up]]
+        self._minterms = minterms
         # Per level, the shift that brings its bit of a vertex id down to
         # bit 0, for the membership walk.
-        self._bit_shift = [self.bits - 1 - (lv >> 1) for lv in range(2 * self.bits)]
-        # Neighbour ids for the searches, from `edges` on first use.
-        self._edges = edges
-        self._adj = None
-        # Edge (u, v) as one word of 2b bits, those of u and v interleaved
-        # MSB first: the bit order of the levels of the relation.
-        spread = [0] * n
-        for u in range(n):
-            for i in range(self.bits):
-                spread[u] |= (u >> i & 1) << 2 * i
+        self._bit_shift = [bits - 1 - (lv >> 1) for lv in range(2 * bits)]
+        # In- and out-neighbour id tuples per vertex, indexed by side as in
+        # `layers`: 0 for `pre`, 1 for `post`.
+        self._adj = (neighbour_tuples(n, ((v, u) for u, v in edges)),
+                     neighbour_tuples(n, edges))
         words = sorted(spread[u] << 1 | spread[v] for u, v in edges)
-        self._edge_rel = self._from_words(words, 2 * self.bits, 1)
-        self.vr = self._set_from_sorted(sorted(set(random_vertices)))
+        self._edge_rel = self._from_words(words, 2 * bits, 1)
+        self.vr = self.from_ids(random_vertices)
         self.v1 = self.dd.diff(self._domain, self.vr)
 
     # -- construction helpers ----------------------------------------------
@@ -299,15 +312,6 @@ class ObddBackend:
                       build(lo, mid, base, bit), build(mid, hi, half, bit))
 
         return build(0, len(words), 0, width)
-
-    def _minterm(self, u):
-        node = _TRUE
-        for bit in range(self.bits - 1, -1, -1):
-            if u & (1 << (self.bits - 1 - bit)):
-                node = self.dd.mk(2 * bit, _FALSE, node)
-            else:
-                node = self.dd.mk(2 * bit, node, _FALSE)
-        return node
 
     # -- set-operation interface --------------------------------------------
 
@@ -392,15 +396,6 @@ class ObddBackend:
 
     # -- fused loops of the skeleton SCC kernel -----------------------------
 
-    def _neighbours(self):
-        """In- and out-neighbour id tuples per vertex, indexed by side (0
-        for `pre`, 1 for `post`), built on first use."""
-        if self._adj is None:
-            edges = self._edges
-            self._adj = (neighbour_tuples(self.n, ((v, u) for u, v in edges)),
-                         neighbour_tuples(self.n, edges))
-        return self._adj
-
     def layers(self, side, start, within):
         """Layers by `pre` (side 0) or `post` (side 1) from `start` inside
         `within`, each as its ascending id list, and their union.
@@ -414,7 +409,7 @@ class ObddBackend:
             return [], _FALSE
         dd = self.dd
         level, low, high, shift = dd.level, dd.low, dd.high, self._bit_shift
-        adj = self._neighbours()[side]
+        adj = self._adj[side]
         ids = self.to_ids(start)
         out, met = [ids], set(ids)
         while True:
@@ -443,7 +438,7 @@ class ObddBackend:
         """Ids of a path back from the last layer's least vertex, each hop
         to the least in-neighbour in the layer before.  A layer of one
         vertex is the hop itself."""
-        preds = self._neighbours()[0]
+        preds = self._adj[0]
         v = layers[-1][0]
         ids = [v]
         for prev in reversed(layers[:-1]):

@@ -28,6 +28,8 @@ join them.  Whether a vertex has a self-loop is no backend question: the
 manager keeps the ids of the looped vertices in one ``frozenset``, read
 by :meth:`SymbolicManager.is_trivial` and, on the ids of the one-vertex
 parts of an SCC split, by :meth:`SymbolicManager.looped_singletons`.
+Each backend builds the set of random vertices once, as ``vr``, and
+:attr:`SymbolicManager.v_random` wraps it.
 :meth:`SymbolicManager.union_all` checks every member before it counts
 one set operation per member, then folds them with the backend ``union``.
 
@@ -37,10 +39,10 @@ Two interchangeable backends implement the same semantics:
   edge relation is a pair of adjacency mask tables on models of at most
   ``_MASK_MAX_N`` (4096) vertices, where the tables take at most 4 MB, and
   a pair of per-vertex neighbour-id tuples on larger models, in memory
-  proportional to the edges.  Set algebra negates no mask.  Images and
-  ``to_ids`` walk the bits from the top, so the ints they read shrink as
-  they go; past ``_BULK_CUTOVER + 1`` (25) vertices, ``to_ids`` scans one
-  binary string and an image on tuples marks one byte buffer.  On mask
+  proportional to the edges.  Set algebra negates no mask.  ``to_ids`` is
+  one scan of the mask's binary string.  Images walk the bits from the
+  top, so the ints they read shrink as they go; past ``_BULK_CUTOVER + 1``
+  (25) vertices, an image on tuples marks one byte buffer.  On mask
   tables, an image of a set of more than 7/8 of the vertices walks the
   set's complement instead, and tests one mask per vertex of the
   complement's image, so it costs what the complement costs: the escape
@@ -139,9 +141,8 @@ class VertexSet:
 # of neighbour ids instead, in memory proportional to the edges.
 _MASK_MAX_N = 4096
 # Bit walks take the highest vertex of a set first, so the int they read
-# shrinks as they go.  After this many vertices and one more, `to_ids`
-# reads the rest of its set by one scan of its binary string, and an image
-# on neighbour tuples marks the rest in a byte buffer read back as one int.
+# shrinks as they go.  After this many vertices and one more, an image on
+# neighbour tuples marks the rest in a byte buffer read back as one int.
 _BULK_CUTOVER = 24
 
 
@@ -164,7 +165,8 @@ class _BitsetBackend:
     of neighbour ids above.  No set operation negates a mask: ``a & ~b``
     takes CPython's slow path for negative ints, about 4 times the cost of
     ``a ^ (a & b)`` on 16,384 bits.  Bit walks take the top vertex first,
-    ``v = z.bit_length() - 1`` then ``z ^= 1 << v``, in place of ``z & -z``.
+    ``v = z.bit_length() - 1`` then ``z ^= 1 << v``, in place of ``z & -z``;
+    ``to_ids`` is the one scan of ``_ids``.
     On masks, an image ORs one neighbour mask per vertex of its argument,
     unless the argument holds more than ``dense`` (7/8 of n) vertices: then
     it ORs one per vertex of the complement and tests one opposite mask
@@ -208,10 +210,7 @@ class _BitsetBackend:
             self.out_masks = self.in_masks = None
             self.out_adj = neighbour_tuples(n, edges)
             self.in_adj = neighbour_tuples(n, ((v, u) for u, v in edges))
-        vr = 0
-        for v in random_vertices:
-            vr |= 1 << v
-        self.vr_mask = vr
+        self.vr = self.from_ids(random_vertices)
 
     def empty(self):
         return 0
@@ -229,15 +228,7 @@ class _BitsetBackend:
         return 1 << v
 
     def to_ids(self, h):
-        out, z = [], h
-        for _ in range(_BULK_CUTOVER + 1):
-            if not z:
-                out.reverse()
-                return out
-            v = z.bit_length() - 1
-            out.append(v)
-            z ^= 1 << v
-        return _ids(h)  # all of `h`: joining two lists would hold both
+        return _ids(h)
 
     def pre(self, z):
         masks = self.in_masks
@@ -311,7 +302,7 @@ class _BitsetBackend:
         return acc | int(buf[::-1], 2)
 
     def cpre_random(self, z, s):
-        vr = self.vr_mask
+        vr = self.vr
         escape = self.pre(s ^ (s & z))
         return (s ^ (s & (vr | escape))) | (s & vr & self.pre(z & s))
 
@@ -397,7 +388,7 @@ class SymbolicManager:
         self._looped = frozenset(u for u, v in edges if u == v)
         self.counters = StepCounters()
         self.universe = VertexSet(self, self._b.universe())
-        self.v_random = VertexSet(self, self._b.from_ids(sorted(random_vertices)))
+        self.v_random = VertexSet(self, self._b.vr)
 
     @classmethod
     def from_model(cls, model, backend="bitset"):

@@ -36,8 +36,9 @@ def bitset_representation(name):
 def sized_ids(rng, n):
     """Random id lists of sizes 0, 1, the bulk cut-over and one either side
     of it, and n, each clipped to n, then the complement of each: every
-    path of the bitset images and of `to_ids` gets an argument, the mask
-    images of near-full sets, taken from their complements, included."""
+    path of the bitset images gets an argument, the tuple images on either
+    side of the cut-over and the mask images of near-full sets, taken from
+    their complements, included."""
     cut = symbolic._BULK_CUTOVER
     sized = [
         sorted(rng.sample(range(n), min(size, n)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fairchk import SymbolicManager, mec_basic, streett_mdp_basic
 from fairchk.model import Model
-from fairchk.obdd import ObddBackend
+from fairchk.obdd import ObddBackend, _Bdd
 from fairchk.symbolic import _BitsetBackend
 
 from helpers import (
@@ -97,6 +97,51 @@ def test_from_ids_is_the_union_of_its_minterms(n, rng):
     backend = _backend(n, [(v, (v + 1) % n) for v in range(n)])
     for ids in _shaped_sets(rng, n):
         assert backend.from_ids(ids) == _fold_union(backend, ids), ids
+
+
+# Node-table size after construction on the ring ``(u, (u + 1) % n)``:
+# the terminals, the domain, the minterms of the ids below n and the
+# relation.  A node for a padding id at or above n would add to it.
+_RING_NODES = {1: 5, 2: 7, 3: 16, 4: 15, 5: 29, 8: 28, 17: 79, 1024: 2095,
+               1025: 3145, 1152: 3267, 4097: 12375}
+
+
+@pytest.mark.parametrize("n", sorted(_RING_NODES))
+def test_minterms_cost_one_mk_call_per_node(n, monkeypatch):
+    """Each one-vertex set lists its vertex and is the set `from_ids`
+    builds of it.  Construction leaves the node table at its known size
+    and the apply cache empty, and without edges makes one `mk` call per
+    minterm node besides the domain's: one per vertex and bit would be
+    ``n * bits``.  `test_from_ids_is_the_union_of_its_minterms` takes the
+    minterms as its reference, so they are checked on their own here."""
+    backend = _backend(n, [(u, (u + 1) % n) for u in range(n)])
+    dd = backend.dd
+    assert len(dd.level) == _RING_NODES[n]
+    assert not dd._cache
+    for u in range(n):
+        assert backend.to_ids(backend.singleton(u)) == [u]
+        assert backend.singleton(u) == backend.from_ids([u])
+    assert len(dd.level) == _RING_NODES[n]
+
+    calls = 0
+    mk = _Bdd.mk
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return mk(self, *args)
+
+    monkeypatch.setattr(_Bdd, "mk", counted)
+    bare = ObddBackend(n, [], [])
+    built, calls = calls, 0
+    bare._set_from_sorted(range(n))  # the domain again, counted alone
+    nodes = set()
+    for u in range(n):
+        h = bare.singleton(u)
+        while h > 1:  # down the path: one child of each node is false
+            nodes.add(h)
+            h = bare.dd.low[h] or bare.dd.high[h]
+    assert built <= len(nodes) + calls, (built, len(nodes), calls)
 
 
 @pytest.mark.parametrize("graph", ["ladder", "random"])

@@ -357,6 +357,9 @@ def test_backends_agree_on_call_sequences(rng, n):
         with bitset_representation(name):
             managers.append(mgr_for(model, "bitset"))
     managers.append(mgr_for(model, "obdd"))
+    for mgr in managers:  # `v_random` wraps the backend's own set
+        assert ids(mgr, mgr.v_random) == sorted(model.random_vertices)
+        assert mgr.v_random == mgr.from_ids(model.random_vertices)
     draws = [
         ([v for v in range(n) if rng.random() < 0.4],
          [v for v in range(n) if rng.random() < 0.5])
